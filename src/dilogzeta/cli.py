@@ -23,9 +23,7 @@ from .core import DomainError, PoleError
 from .mellin import (
     MellinMethod,
     PeriodSumConfig,
-    d_closed,
-    d_gamma_series,
-    d_quad,
+    _dispatch_d,
     d_tilde,
     e_val,
     f_val,
@@ -58,10 +56,14 @@ _COMPLEX_RE = re.compile(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide knobs shared by all subcommands."""
+    """Run-wide knobs shared by all subcommands.
+
+    ``n_periods`` None lets the period sums choose N from ``tolerance``,
+    capped at PeriodSumConfig's default; a number pins N exactly.
+    """
 
     tolerance: float = 1e-8
-    n_periods: int = 100_000
+    n_periods: Optional[int] = None
     tail_order: int = 2
     output_format: str = "json"
     seed: int = 42
@@ -69,7 +71,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (1e-14 <= self.tolerance <= 1e-2):
             raise ValueError("tolerance must lie in [1e-14, 1e-2]")
-        if self.n_periods < 1:
+        if self.n_periods is not None and self.n_periods < 1:
             raise ValueError("n_periods must be >= 1")
         if self.tail_order not in (0, 1, 2):
             raise ValueError("tail_order must be 0, 1 or 2")
@@ -77,6 +79,8 @@ class RunConfig:
             raise ValueError("output_format must be json, csv or text")
 
     def period_cfg(self) -> PeriodSumConfig:
+        if self.n_periods is None:
+            return PeriodSumConfig(tail_order=self.tail_order, tolerance=self.tolerance)
         return PeriodSumConfig(n_periods=self.n_periods, tail_order=self.tail_order)
 
 
@@ -201,15 +205,8 @@ def _load_env_config() -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values = {
-        "tolerance": 1e-8,
-        "n_periods": 100_000,
-        "tail_order": 2,
-        "output_format": "json",
-        "seed": 42,
-    }
-    values.update(_load_env_config())
-    for key in values:
+    values = _load_env_config()
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -369,29 +366,12 @@ def cmd_mellin(args: argparse.Namespace, cfg: RunConfig) -> int:
         "period": MellinMethod.PERIOD_SUM,
         "gamma": MellinMethod.GAMMA_SERIES,
     }[args.method]
-    cfg_ps = cfg.period_cfg()
-    if args.kernel == "p":
-        if method is MellinMethod.CLOSED_FORM:
-            value, abs_err, work = d_closed(alpha), 1e-13, 1
-        elif method is MellinMethod.PERIOD_SUM:
-            r = d_quad(alpha, cfg_ps)
-            value, abs_err, work = r.value, r.abs_err, r.work
-        else:
-            r = d_gamma_series(alpha)
-            value, abs_err, work = r.value, r.abs_err, r.work
-    elif args.kernel == "ptilde":
-        r = d_tilde(alpha, method, cfg_ps)
-        value, abs_err, work = r.value, r.abs_err, r.work
-    elif args.kernel == "q":
-        r = e_val(alpha, method, cfg_ps)
-        value, abs_err, work = r.value, r.abs_err, r.work
-    else:
-        r = f_val(alpha, method, cfg_ps)
-        value, abs_err, work = r.value, r.abs_err, r.work
+    integral = {"p": _dispatch_d, "ptilde": d_tilde, "q": e_val, "f": f_val}[args.kernel]
+    r = integral(alpha, method, cfg.period_cfg())
     report = {
         "kernel": args.kernel, "alpha": format_complex(alpha), "method": args.method,
-        "value_re": value.real, "value_im": value.imag,
-        "abs_err": abs_err, "work": work,
+        "value_re": r.value.real, "value_im": r.value.imag,
+        "abs_err": r.abs_err, "work": r.work,
     }
     _emit(report, fmt=cfg.output_format)
     return EXIT_OK

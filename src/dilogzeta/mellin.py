@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,16 +56,23 @@ class PeriodSumConfig:
     treatment; ``tail_order`` counts integration-by-parts passes applied to the
     tail (0 = crude bound only, 1 and 2 add exact boundary corrections with
     successively smaller error bounds).
+
+    With a ``tolerance`` the sums stop at the smallest N whose tail bound is at
+    most tolerance/2, and ``n_periods`` becomes the cap on N; without one, N is
+    ``n_periods`` exactly.
     """
 
     n_periods: int = 100_000
     tail_order: int = 2
+    tolerance: float | None = None
 
     def __post_init__(self):
         if self.n_periods < 2:
             raise DomainError("PeriodSumConfig: n_periods must be >= 2")
         if self.tail_order not in (0, 1, 2):
             raise DomainError("PeriodSumConfig: tail_order must be in {0, 1, 2}")
+        if self.tolerance is not None and not (0.0 <= self.tolerance < math.inf):
+            raise DomainError("PeriodSumConfig: tolerance must be finite and >= 0")
 
 
 def _guard_poles(alpha: complex, poles, radius: float = POLE_GUARD) -> None:
@@ -174,12 +180,22 @@ def f_closed(alpha: complex) -> complex:
 # --- direct per-period summation ---------------------------------------------
 
 
-@lru_cache(maxsize=8)
+_GRIDS: tuple[np.ndarray, ...] = ()
+
+
 def _period_grids(n_periods: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Period indices k = 1..N-1, log(2 pi k) and log1p(1/k), shared across
-    evaluations at the same truncation."""
-    k = np.arange(1, n_periods, dtype=np.float64)
-    return k, np.log(TWO_PI * k), np.log1p(1.0 / k)
+    """Period indices k = 1..N-1, log(2 pi k) and log1p(1/k), as read-only
+    prefix views of one grid that grows to the largest N asked for.  Every
+    entry depends on k alone, so a prefix equals a grid built at N."""
+    global _GRIDS
+    grids = _GRIDS  # one read: another thread may swap in a grid of a different size
+    if not grids or grids[0].size < n_periods - 1:
+        k = np.arange(1, n_periods, dtype=np.float64)
+        grids = (k, np.log(TWO_PI * k), np.log1p(1.0 / k))
+        for g in grids:
+            g.flags.writeable = False
+        _GRIDS = grids
+    return tuple(g[: n_periods - 1] for g in grids)
 
 
 def _cexpm1(w: np.ndarray) -> np.ndarray:
@@ -211,22 +227,50 @@ _TAIL_F = dict(
 )
 
 
-def _tail(alpha: complex, cfg: PeriodSumConfig, data: dict) -> tuple[complex, float]:
+def _tail_err(alpha: complex, t: float, order: int, data: dict) -> float:
+    """Error bound of the order-``order`` tail treatment at T = t; it has the
+    form c * t**(Re alpha + 1 - order), decreasing in t on Re alpha < -1."""
+    u = alpha.real
+    if order == 0:
+        return data["m0"] * t ** (u + 1.0) / abs(u + 1.0)
+    if order == 1:
+        return abs(alpha) * data["m1"] * t ** u / abs(u)
+    return abs(alpha) * abs(alpha - 1.0) * data["m2"] * t ** (u - 1.0) / abs(u - 1.0)
+
+
+def _tail(alpha: complex, n: int, order: int, data: dict) -> tuple[complex, float]:
     """Exact IBP boundary corrections plus rigorous-style error bound for the
     tail int_{2 pi N}^oo y^alpha * kernel dy."""
-    n = cfg.n_periods
     t = TWO_PI * n
-    u = alpha.real
-    if cfg.tail_order == 0:
+    if order == 0:
         corr = 0.0 + 0.0j
-        err = data["m0"] * t ** (u + 1.0) / abs(u + 1.0)
-    elif cfg.tail_order == 1:
+    elif order == 1:
         corr = -cpow(t, alpha) * data["a1_at"](n)
-        err = abs(alpha) * data["m1"] * t ** u / abs(u)
     else:
         corr = -cpow(t, alpha) * data["a1_at"](n) + alpha * cpow(t, alpha - 1.0) * data["a2_at"](n)
-        err = abs(alpha) * abs(alpha - 1.0) * data["m2"] * t ** (u - 1.0) / abs(u - 1.0)
-    return corr, err
+    return corr, _tail_err(alpha, t, order, data)
+
+
+def _n_periods(alpha: complex, cfg: PeriodSumConfig, data: dict) -> int:
+    """The N to sum: cfg.n_periods without a tolerance; otherwise
+    min(cap, max(2, ceil(T_tol / 2 pi))), where T_tol inverts the tail bound
+    c * T**e = tolerance/2.  N is not raised to shrink the rounding bound,
+    which grows with N."""
+    cap = cfg.n_periods
+    if not cfg.tolerance:  # None, or 0: no N meets it
+        return cap
+    half = 0.5 * cfg.tolerance
+    order = cfg.tail_order
+    c = _tail_err(alpha, 1.0, order, data)
+    e = alpha.real + 1.0 - order
+    log_n = (math.log(half) - math.log(c)) / e - math.log(TWO_PI)
+    if log_n >= math.log(cap):
+        return cap
+    n = max(2, math.ceil(math.exp(log_n)))
+    # Guard the closed-form inversion against rounding in log/exp.
+    while n < cap and _tail_err(alpha, TWO_PI * n, order, data) > half:
+        n += 1
+    return n
 
 
 def d_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
@@ -237,7 +281,7 @@ def d_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     alpha = complex(alpha)
     _require_convergent(alpha)
     _guard_poles(alpha, (-1.0, -2.0, -3.0))
-    n = cfg.n_periods
+    n = _n_periods(alpha, cfg, _TAIL_P)
     k, loga, lograt = _period_grids(n)
     a = TWO_PI * k  # periods [2 pi k, 2 pi (k+1)), k = 1..N-1
     d1 = _power_increments(alpha + 1.0, loga, lograt)
@@ -250,7 +294,7 @@ def d_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     body = complex(np.sum(PI2_6 * d1 - (math.pi / 2.0) * t2 + 0.25 * t3))
     rnd = 1e-16 * float(np.sum(np.abs(d3) + a * (2.0 * np.abs(d2) + a * np.abs(d1))))
     total = i_alpha(alpha) + body
-    corr, err = _tail(alpha, cfg, _TAIL_P)
+    corr, err = _tail(alpha, n, cfg.tail_order, _TAIL_P)
     return EvalResult(value=total + corr, abs_err=err + rnd + 1e-15 * abs(total), work=n)
 
 
@@ -259,7 +303,7 @@ def e_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     alpha = complex(alpha)
     _require_convergent(alpha)
     _guard_poles(alpha, (-1.0, -2.0))
-    n = cfg.n_periods
+    n = _n_periods(alpha, cfg, _TAIL_Q)
     k, loga, lograt = _period_grids(n)
     a = TWO_PI * k
     d1 = _power_increments(alpha + 1.0, loga, lograt)
@@ -273,7 +317,7 @@ def e_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
         (cpow(TWO_PI, a2) - 1.0) / a2 - math.pi * (cpow(TWO_PI, a1) - 1.0) / a1
     )
     total = initial + body
-    corr, err = _tail(alpha, cfg, _TAIL_Q)
+    corr, err = _tail(alpha, n, cfg.tail_order, _TAIL_Q)
     return EvalResult(value=total + corr, abs_err=err + rnd + 1e-15 * abs(total), work=n)
 
 
@@ -283,7 +327,7 @@ def f_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     alpha = complex(alpha)
     _require_convergent(alpha)
     _guard_poles(alpha, (-1.0,))
-    n = cfg.n_periods
+    n = _n_periods(alpha, cfg, _TAIL_F)
     k, loga, lograt = _period_grids(n)
     d1 = _power_increments(alpha + 1.0, loga, lograt)
     signs = np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0)
@@ -295,7 +339,7 @@ def f_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     a1 = alpha + 1.0
     initial = (cpow(TWO_PI, a1) - 1.0) / a1
     total = initial + body
-    corr, err = _tail(alpha, cfg, _TAIL_F)
+    corr, err = _tail(alpha, n, cfg.tail_order, _TAIL_F)
     return EvalResult(value=total + corr, abs_err=err + 1e-15 * abs(total), work=n)
 
 
@@ -333,7 +377,8 @@ def d_gamma_series(alpha: complex, n_terms: int = 2000) -> EvalResult:
 
 def _dispatch_d(alpha: complex, method: MellinMethod, cfg: PeriodSumConfig) -> EvalResult:
     if method is MellinMethod.CLOSED_FORM:
-        return EvalResult(value=d_closed(alpha), abs_err=1e-13 * max(1.0, abs(d_closed(alpha))), work=1)
+        v = d_closed(alpha)
+        return EvalResult(value=v, abs_err=1e-13 * max(1.0, abs(v)), work=1)
     if method is MellinMethod.PERIOD_SUM:
         return d_quad(alpha, cfg)
     if method is MellinMethod.GAMMA_SERIES:

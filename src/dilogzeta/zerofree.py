@@ -30,7 +30,10 @@ def _bracket_terms(s: complex) -> complex:
 
 
 def zero_residual(u: float, v: float, cfg: PeriodSumConfig = PeriodSumConfig()) -> complex:
-    """Complex residual that vanishes exactly when zeta(u + iv) = 0."""
+    """Complex residual that vanishes exactly when zeta(u + iv) = 0.
+
+    The bracket is exact, so the residual carries D's error and a tolerance in
+    ``cfg`` applies to it unchanged."""
     if not (0.0 < u < 1.0):
         raise DomainError(f"zero_residual: need 0 < u < 1, got {u}")
     if v == 0.0:

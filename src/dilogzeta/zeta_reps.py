@@ -10,6 +10,7 @@ never calls a zeta routine.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .core import DomainError, EvalResult, PoleError, cpow
 from .mellin import (
@@ -34,6 +35,15 @@ def _check_s(s: complex) -> complex:
     return s
 
 
+def _integral_cfg(cfg: PeriodSumConfig, scale: float) -> PeriodSumConfig:
+    """The integral's config for a zeta tolerance: zeta's abs_err is
+    scale * (integral's abs_err) + 1e-14, so the integral gets
+    (tol - 1e-14) / scale."""
+    if cfg.tolerance is None:
+        return cfg
+    return replace(cfg, tolerance=max(cfg.tolerance - 1e-14, 0.0) / scale)
+
+
 def zeta_via_d(
     s: complex,
     d_method: MellinMethod = MellinMethod.PERIOD_SUM,
@@ -43,15 +53,15 @@ def zeta_via_d(
     - D(-2-s)], with the prefactor distributed so nothing blows up near s = 0.
     """
     s = _check_s(s)
-    d = _dispatch_d(-2.0 - s, d_method, cfg)
     pref = 2.0 * cpow(math.pi * 2.0, s - 1.0)
+    scale = abs(pref) * abs(s * (1.0 + s))
+    d = _dispatch_d(-2.0 - s, d_method, _integral_cfg(cfg, scale))
     bracket = (
         s * math.pi ** 2 / 6.0
         - math.pi * (1.0 + s) / 2.0
         - s * (1.0 + s) / (4.0 * (1.0 - s))
         - s * (1.0 + s) * d.value
     )
-    scale = abs(pref) * abs(s * (1.0 + s))
     return EvalResult(value=pref * bracket, abs_err=scale * d.abs_err + 1e-14, work=d.work)
 
 
@@ -62,12 +72,11 @@ def zeta_via_e(
 ) -> EvalResult:
     """zeta(s) = 2 s (2 pi)^{s-1} [-pi/(2s) - 1/(2(1-s)) - E(-1-s)]."""
     s = _check_s(s)
-    e = e_val(-1.0 - s, method, cfg)
     pref = 2.0 * cpow(math.pi * 2.0, s - 1.0)
+    scale = abs(pref) * abs(s)
+    e = e_val(-1.0 - s, method, _integral_cfg(cfg, scale))
     bracket = -math.pi / 2.0 - s / (2.0 * (1.0 - s)) - s * e.value
-    return EvalResult(
-        value=pref * bracket, abs_err=abs(pref) * abs(s) * e.abs_err + 1e-14, work=e.work
-    )
+    return EvalResult(value=pref * bracket, abs_err=scale * e.abs_err + 1e-14, work=e.work)
 
 
 def zeta_via_f(
@@ -80,10 +89,11 @@ def zeta_via_f(
     denom = 1.0 - cpow(2.0, 1.0 - s)
     if abs(denom) < 1e-9:
         raise PoleError(f"denominator 1 - 2^(1-s) vanishes at s = {s}")
-    f = f_val(-1.0 - s, method, cfg)
     pref = 0.5 * cpow(math.pi * 2.0, s) / denom
+    scale = abs(pref) * abs(s)
+    f = f_val(-1.0 - s, method, _integral_cfg(cfg, scale))
     value = pref * (1.0 - s * f.value)
-    return EvalResult(value=value, abs_err=abs(pref) * abs(s) * f.abs_err + 1e-14, work=f.work)
+    return EvalResult(value=value, abs_err=scale * f.abs_err + 1e-14, work=f.work)
 
 
 def alternating_series_identity(s: complex, method: MellinMethod = MellinMethod.CLOSED_FORM) -> complex:

@@ -68,9 +68,11 @@ class TestRunConfig:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        # flag wins over file for n_periods; the file value drives work count
-        assert report["work"] >= 800
-        assert report["work"] < 5000
+        # flag wins over file for n_periods, and pins N exactly
+        assert report["work"] == 800
+        code, out, _ = run_cli(capsys, "eval", "--s", "0.5+3i", "--method", "d")
+        assert code == EXIT_OK
+        assert json.loads(out)["work"] == 5000  # so does the file
 
     def test_bad_env_config_is_usage_error(self, tmp_path, monkeypatch, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -113,6 +115,15 @@ class TestEval:
     def test_unknown_command_is_usage_exit(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == EXIT_USAGE
+
+    def test_n_periods_from_tolerance(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--s", "0.5+14.134725i", "--method", "d", "--tolerance", "1e-8"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["work"] < 100_000
+        assert report["abs_err"] <= 1e-8
 
     def test_deterministic_output(self, capsys):
         args = ("eval", "--s", "0.3+7i", "--method", "e", "--n-periods", "2000")
@@ -204,3 +215,14 @@ class TestZeroScan:
         report = json.loads(out)
         assert report["n_candidates"] == 1
         assert float(report["candidates"]) == pytest.approx(14.134725, abs=1e-3)
+
+    def test_tolerance_driven_candidates_match_pinned(self, capsys):
+        argv = ("zero-scan", "--u", "0.5", "--v-min", "14.0", "--v-max", "14.3", "--step", "0.05")
+        reports = []
+        for extra in ((), ("--n-periods", "20000")):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == EXIT_OK
+            reports.append(json.loads(out))
+        auto, pinned = reports
+        assert auto["n_candidates"] == pinned["n_candidates"] == 1
+        assert auto["candidates"] == pinned["candidates"]

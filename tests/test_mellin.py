@@ -4,6 +4,8 @@ error contract, pole guards, and the binomial/zeta tail-series identities."""
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 import scipy.integrate as integrate
 from hypothesis import given
@@ -29,7 +31,20 @@ from dilogzeta import (
     kernel_eval,
     mellin_numeric,
 )
-from dilogzeta.mellin import a_tilde_closed, binomial_zeta_sum, e_closed, f_closed
+from dilogzeta import mellin
+from dilogzeta.mellin import (
+    _TAIL_F,
+    _TAIL_P,
+    _TAIL_Q,
+    _period_grids,
+    _tail,
+    a_tilde_closed,
+    binomial_zeta_sum,
+    e_closed,
+    e_quad,
+    f_closed,
+    f_quad,
+)
 
 CFG = PeriodSumConfig(n_periods=100_000, tail_order=2)
 
@@ -116,6 +131,18 @@ class TestDPaths:
             e0 = d_quad(alpha, PeriodSumConfig(n_periods=n, tail_order=0)).abs_err
             e2 = d_quad(alpha, PeriodSumConfig(n_periods=n, tail_order=2)).abs_err
             assert e2 <= e0 / n
+
+    def test_closed_dispatch_evaluates_once(self, monkeypatch):
+        calls = []
+
+        def counting(alpha):
+            calls.append(alpha)
+            return d_closed(alpha)
+
+        monkeypatch.setattr(mellin, "d_closed", counting)
+        r = mellin._dispatch_d(-4.0, MellinMethod.CLOSED_FORM, CFG)
+        assert len(calls) == 1
+        assert r.value == d_closed(-4.0)
 
     def test_pole_guards(self):
         for bad in (-2.0, -3.0):
@@ -205,3 +232,68 @@ class TestTailSeries:
             a_tilde_j(-1.5, 2)
         with pytest.raises(DomainError):
             a_tilde_j(-4.0, 4)
+
+
+def _mp_integrals(s: complex):
+    """D(-2-s), E(-1-s), F(-1-s) from their closed forms with mpmath's zeta
+    at 30 digits: an oracle independent of the library's zeta_ref."""
+    with mp.workdps(30):
+        s = mp.mpc(s.real, s.imag)
+        z, tp = mp.zeta(s), 2 * mp.pi
+        a1, a2, a3 = -1 - s, -s, 1 - s
+        d = -mp.pi ** 2 / 6 / a1 + (mp.pi / 2) / a2 - 1 / (4 * a3) - tp ** a3 * z / (2 * a2 * a1)
+        a1, a2 = -s, 1 - s
+        e = (mp.pi / 2) / a1 - 1 / (2 * a2) + tp ** a2 * z / (2 * a1)
+        f = -1 / a1 + 2 * tp ** a1 * (1 - mp.mpf(2) ** (1 - s)) * z / a1
+        return d, e, f
+
+
+class TestToleranceDrivenN:
+    @given(
+        st.floats(min_value=0.05, max_value=0.95, exclude_min=True, exclude_max=True),
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.floats(min_value=-12.0, max_value=-6.0),
+        st.sampled_from((0, 1, 2)),
+    )
+    def test_error_contract_and_tail_budget(self, u, v, log_tol, order):
+        s = complex(u, v)
+        tol = 10.0 ** log_tol
+        cfg = PeriodSumConfig(tail_order=order, tolerance=tol)
+        cap = PeriodSumConfig().n_periods
+        cases = zip((d_quad, e_quad, f_quad), (-2.0 - s, -1.0 - s, -1.0 - s),
+                    _mp_integrals(s), (_TAIL_P, _TAIL_Q, _TAIL_F))
+        for fn, alpha, truth, data in cases:
+            r = fn(alpha, cfg)
+            assert float(abs(mp.mpc(r.value) - truth)) <= r.abs_err
+            assert 2 <= r.work <= cap
+            if r.work < cap:
+                assert _tail(alpha, r.work, order, data)[1] <= tol / 2.0
+
+    def test_no_tolerance_is_unchanged(self):
+        # Values of the fixed-N implementation this mode must reproduce.
+        pinned = [
+            (d_quad, -2.5 - 14.0j, 0.00764547842215186 - 0.022590828516037463j, 6.294716745868975e-13),
+            (e_quad, -1.5 + 7.0j, -0.04882009313575735 - 0.34586919666439575j, 3.97479776570883e-13),
+            (f_quad, -1.3 - 20.0j, -0.09120906519951426 + 0.03608036052879286j, 4.337016685713421e-11),
+        ]
+        _period_grids(150_000)  # the default N must read a prefix of a larger grid
+        for fn, alpha, value, abs_err in pinned:
+            r = fn(alpha, PeriodSumConfig())
+            assert r.work == 100_000
+            assert abs(r.value - value) <= 1e-14 * abs(value)
+            assert r.abs_err == pytest.approx(abs_err, rel=1e-14)
+            assert r == fn(alpha, PeriodSumConfig(n_periods=100_000, tolerance=None))
+
+    def test_grid_prefix_matches_fresh_grid(self):
+        _period_grids(150_000)
+        k, loga, lograt = _period_grids(1000)
+        assert np.array_equal(k, np.arange(1, 1000, dtype=np.float64))
+        assert np.array_equal(loga, np.log(TWO_PI * k))
+        assert np.array_equal(lograt, np.log1p(1.0 / k))
+        assert not k.flags.writeable
+
+    def test_tolerance_validated(self):
+        with pytest.raises(DomainError):
+            PeriodSumConfig(tolerance=-1e-8)
+        with pytest.raises(DomainError):
+            PeriodSumConfig(tolerance=float("nan"))

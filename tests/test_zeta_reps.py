@@ -5,8 +5,11 @@ the simple-pole behaviour at s = 1."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dilogzeta import (
     DomainError,
@@ -19,6 +22,7 @@ from dilogzeta import (
     zeta_via_e,
     zeta_via_f,
 )
+from dilogzeta.mellin import _TAIL_F, _TAIL_P, _TAIL_Q, _tail
 from dilogzeta.zeta_reps import alternating_series_identity
 
 CFG = PeriodSumConfig(n_periods=100_000, tail_order=2)
@@ -39,6 +43,33 @@ class TestRepresentationAgreement:
         for fn in (zeta_via_d, zeta_via_e, zeta_via_f):
             got = fn(s, MellinMethod.CLOSED_FORM).value
             assert abs(got - ref) <= 1e-12
+
+    @given(
+        st.floats(min_value=0.05, max_value=0.95, exclude_min=True, exclude_max=True),
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.floats(min_value=-12.0, max_value=-6.0),
+    )
+    def test_tolerance_driven_period_sums(self, u, v, log_tol):
+        s = complex(u, v)
+        tol = 10.0 ** log_tol
+        cfg = PeriodSumConfig(tolerance=tol)
+        cap = PeriodSumConfig().n_periods
+        with mp.workdps(30):
+            truth = mp.zeta(mp.mpc(u, v))
+        # zeta's abs_err is scale * (the integral's abs_err) + 1e-14
+        pref = abs(2.0 * (2.0 * math.pi) ** (s - 1.0))
+        cases = (
+            (zeta_via_d, -2.0 - s, _TAIL_P, pref * abs(s * (1.0 + s))),
+            (zeta_via_e, -1.0 - s, _TAIL_Q, pref * abs(s)),
+            (zeta_via_f, -1.0 - s, _TAIL_F,
+             abs(0.5 * (2.0 * math.pi) ** s / (1.0 - 2.0 ** (1.0 - s))) * abs(s)),
+        )
+        for fn, alpha, data, scale in cases:
+            r = fn(s, MellinMethod.PERIOD_SUM, cfg)
+            assert float(abs(mp.mpc(r.value) - truth)) <= r.abs_err
+            assert 2 <= r.work <= cap
+            if r.work < cap:
+                assert scale * _tail(alpha, r.work, 2, data)[1] <= tol / 2.0
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
