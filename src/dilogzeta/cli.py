@@ -9,6 +9,7 @@ Config precedence: flags > DILOG_ZETA_CONFIG key=value file > defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -60,20 +61,22 @@ class RunConfig:
 
     ``n_periods`` None lets the period sums choose N from ``tolerance``,
     capped at PeriodSumConfig's default; a number pins N exactly.
+    ``tail_order`` None lets them choose the tail order K together with N
+    (order 2 when N is pinned); 0, 1 or 2 pins K.
     """
 
     tolerance: float = 1e-8
     n_periods: Optional[int] = None
-    tail_order: int = 2
+    tail_order: Optional[int] = None
     output_format: str = "json"
     seed: int = 42
 
     def __post_init__(self) -> None:
         if not (1e-14 <= self.tolerance <= 1e-2):
             raise ValueError("tolerance must lie in [1e-14, 1e-2]")
-        if self.n_periods is not None and self.n_periods < 1:
-            raise ValueError("n_periods must be >= 1")
-        if self.tail_order not in (0, 1, 2):
+        if self.n_periods is not None and self.n_periods < 2:
+            raise ValueError("n_periods must be >= 2")
+        if self.tail_order not in (None, 0, 1, 2):
             raise ValueError("tail_order must be 0, 1 or 2")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError("output_format must be json, csv or text")
@@ -453,6 +456,12 @@ def make_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return make_parser()
+
+
 def _join_complex_flags(argv: Sequence[str]) -> list[str]:
     """Fold ``--s -0.5+1i`` into ``--s=-0.5+1i`` so argparse does not read a
     leading-minus complex literal as an option."""
@@ -470,7 +479,7 @@ def _join_complex_flags(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_complex_flags(list(argv))

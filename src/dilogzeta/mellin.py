@@ -15,11 +15,13 @@ point: the identities are the test suite.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special as sp
 
 from .core import DomainError, EvalResult, PoleError, cpow
 from .kernels import PI2_6, PI2_12, TWO_PI
@@ -35,6 +37,8 @@ ZETA3 = 1.2020569031595942854
 ZETA4 = math.pi ** 4 / 90.0
 
 POLE_GUARD = 1e-9
+_EPS = 2.0 ** -52
+K_MAX = 40  # the highest integration-by-parts order of the period-sum tails
 
 # The fundamental-domain quadratic p(theta) = pi^2/6 - (pi/2) theta + theta^2/4
 # has zero mean over a period; the tail acceleration below relies on it.
@@ -52,25 +56,27 @@ class MellinMethod(enum.Enum):
 class PeriodSumConfig:
     """Truncation control for the direct per-period evaluations.
 
-    ``n_periods`` is the number of 2*pi periods summed before the tail
-    treatment; ``tail_order`` counts integration-by-parts passes applied to the
-    tail (0 = crude bound only, 1 and 2 add exact boundary corrections with
-    successively smaller error bounds).
+    ``n_periods`` is the number of 2*pi periods N summed before the tail;
+    ``tail_order`` is the number K of integration-by-parts passes applied to
+    the tail (0 = crude bound only; each pass adds an exact boundary
+    correction and lowers the bound by a factor of about |alpha|/(2 pi N)).
 
-    With a ``tolerance`` the sums stop at the smallest N whose tail bound is at
-    most tolerance/2, and ``n_periods`` becomes the cap on N; without one, N is
-    ``n_periods`` exactly.
+    With a ``tolerance`` the sums choose N and K together: the smallest N that
+    some K <= K_MAX brings under tolerance/2, then the smallest K that does;
+    ``n_periods`` caps N, and a set ``tail_order`` pins K.  Without one, N is
+    ``n_periods`` exactly and K is ``tail_order``, or 2 if unset.  The
+    results' ``work`` is the N summed.
     """
 
     n_periods: int = 100_000
-    tail_order: int = 2
+    tail_order: int | None = None
     tolerance: float | None = None
 
     def __post_init__(self):
         if self.n_periods < 2:
             raise DomainError("PeriodSumConfig: n_periods must be >= 2")
-        if self.tail_order not in (0, 1, 2):
-            raise DomainError("PeriodSumConfig: tail_order must be in {0, 1, 2}")
+        if self.tail_order is not None and self.tail_order not in range(K_MAX + 1):
+            raise DomainError(f"PeriodSumConfig: tail_order must be in 0..{K_MAX}")
         if self.tolerance is not None and not (0.0 <= self.tolerance < math.inf):
             raise DomainError("PeriodSumConfig: tolerance must be finite and >= 0")
 
@@ -212,65 +218,144 @@ def _power_increments(beta: complex, loga: np.ndarray, lograt: np.ndarray) -> np
     return np.exp(beta * loga) * _cexpm1(beta * lograt) / beta
 
 
-# Per-kernel tail data at T = 2*pi*N for the integration-by-parts passes:
-#   A1 is the mean-zero periodic antiderivative of the kernel, A2 that of A1;
-#   M0/M1/M2 bound the kernel, A1 and A2 in absolute value.
-#   A1(T), A2(T) are the boundary values entering the exact corrections.
-_TAIL_P = dict(m0=PI2_6, m1=ZETA3, m2=ZETA4, a1_at=lambda n: 0.0, a2_at=lambda n: -ZETA4)
-_TAIL_Q = dict(m0=math.pi / 2.0, m1=PI2_6, m2=ZETA3, a1_at=lambda n: PI2_6, a2_at=lambda n: 0.0)
-_TAIL_F = dict(
-    m0=1.0,
-    m1=math.pi,
-    m2=14.0 * ZETA3 / math.pi,
-    a1_at=lambda n: -math.pi * (1.0 if n % 2 == 0 else -1.0),
-    a2_at=lambda n: 0.0,
-)
+def _phase_err(alpha: complex, loga: np.ndarray, lograt: np.ndarray) -> np.ndarray:
+    """Relative rounding error of each period's summand.  The powers a^beta
+    and (1+1/k)^beta carry the rounding of their exponents, about
+    eps |beta| (log a + log(1+1/k)), and share it across the moments of one
+    period, since Im beta = Im alpha; 4 eps covers the remaining operations."""
+    return _EPS * ((abs(alpha) + 3.0) * (loga + lograt) + 4.0)
 
 
-def _tail_err(alpha: complex, t: float, order: int, data: dict) -> float:
-    """Error bound of the order-``order`` tail treatment at T = t; it has the
-    form c * t**(Re alpha + 1 - order), decreasing in t on Re alpha < -1."""
-    u = alpha.real
-    if order == 0:
-        return data["m0"] * t ** (u + 1.0) / abs(u + 1.0)
-    if order == 1:
-        return abs(alpha) * data["m1"] * t ** u / abs(u)
-    return abs(alpha) * abs(alpha - 1.0) * data["m2"] * t ** (u - 1.0) / abs(u - 1.0)
+# --- integration-by-parts tail -------------------------------------------------
+#
+# Each kernel is a Fourier series: p = sum cos(jy)/j^2, q = -sum sin(jy)/j and
+# f = (4/pi) sum_{j odd} sin(jy/2)/j.  Its k-th mean-zero periodic
+# antiderivative A_k is the same series with each term divided by its
+# frequency to the k and shifted by k quarter periods, so m_k = sup |A_k| and
+# the boundary values A_k(2 pi N) are zeta values at integers:
+#
+#   P: m_k = zeta(k+2),                   A_k(2 pi N) = cos(k pi/2) zeta(k+2)
+#   Q: m_k = zeta(k+1) for k >= 1,        A_k(2 pi N) = sin(k pi/2) zeta(k+1)
+#   F: m_k = (4/pi) 2^k lambda(k+1), k >= 1,  A_k(2 pi N) = -(-1)^N sin(k pi/2) m_k
+#
+# with lambda(n) = (1 - 2^-n) zeta(n); m_0 bounds the kernel itself.
+
+# zeta(n) for n = 0..K_MAX+2 (n < 2 unused).  zeta(2..4) are the module's
+# PI2_6, ZETA3 and ZETA4 (pi^4/90, one ulp below the rounded zeta(4)), so the
+# orders <= 2 use exactly those constants.
+_ZETA = (math.nan, math.inf, PI2_6, ZETA3, ZETA4) + tuple(sp.zeta(np.arange(5.0, K_MAX + 3.0)).tolist())
 
 
-def _tail(alpha: complex, n: int, order: int, data: dict) -> tuple[complex, float]:
-    """Exact IBP boundary corrections plus rigorous-style error bound for the
-    tail int_{2 pi N}^oo y^alpha * kernel dy."""
+@dataclass(frozen=True)
+class _TailData:
+    """One kernel's tail constants for orders k = 0..K_MAX: ``m[k]`` bounds
+    |A_k|, and A_k(2 pi N) = parity**N * a[k]."""
+
+    m: tuple[float, ...]
+    a: tuple[float, ...]
+    parity: float = 1.0
+    log_m: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "log_m", np.log(self.m))
+
+
+def _quarter_turns(m: list[float], phase: int) -> tuple[float, ...]:
+    """m[k] * cos((k - phase) pi/2), exactly: the boundary values A_k(2 pi N)."""
+    return tuple(x * (1.0, 0.0, -1.0, 0.0)[(k - phase) % 4] for k, x in enumerate(m))
+
+
+_M_P = list(_ZETA[2:])
+_M_Q = [math.pi / 2.0] + list(_ZETA[2:-1])
+_M_F = [1.0] + [(2.0 ** (k + 2) - 2.0) * _ZETA[k + 1] / math.pi for k in range(1, K_MAX + 1)]
+_TAIL_P = _TailData(tuple(_M_P), _quarter_turns(_M_P, 0))
+_TAIL_Q = _TailData(tuple(_M_Q), _quarter_turns(_M_Q, 1))
+_TAIL_F = _TailData(tuple(_M_F), _quarter_turns(_M_F, 3), parity=-1.0)
+_ORDERS = np.arange(K_MAX + 1.0)
+_LOG_TWO_PI = math.log(TWO_PI)
+
+
+def _tail_coef(alpha: complex, order: int, data: _TailData) -> float:
+    """|alpha (alpha-1) ... (alpha-order+1)| m_order: the tail bound is
+    this times t**e / |e| with e = Re alpha + 1 - order < 0."""
+    return math.prod(abs(alpha - j) for j in range(order)) * data.m[order]
+
+
+def _tail_err(alpha: complex, t: float, order: int, data: _TailData) -> float:
+    """Error bound after ``order`` IBP passes at T = t, decreasing in t."""
+    e = alpha.real + (1 - order)
+    return _tail_coef(alpha, order, data) * t ** e / abs(e)
+
+
+def _tail(alpha: complex, n: int, order: int, data: _TailData) -> tuple[complex, float, float]:
+    """The tail int_{2 pi N}^oo y^alpha * kernel dy after ``order`` IBP passes:
+    the exact boundary corrections
+        sum_{j<order} (-1)^{j+1} alpha (alpha-1) ... (alpha-j+1) T^{alpha-j} A_{j+1}(T),
+    the bound on what they leave out, and a bound on the rounding of their sum
+    (the exponent of T^{alpha-j} is rounded like those of the period sums)."""
     t = TWO_PI * n
-    if order == 0:
-        corr = 0.0 + 0.0j
-    elif order == 1:
-        corr = -cpow(t, alpha) * data["a1_at"](n)
-    else:
-        corr = -cpow(t, alpha) * data["a1_at"](n) + alpha * cpow(t, alpha - 1.0) * data["a2_at"](n)
-    return corr, _tail_err(alpha, t, order, data)
+    log_t = cmath.log(t)
+    parity = data.parity ** n
+    corr = 0.0 + 0.0j
+    size = 0.0
+    coef = -1.0  # (-1)^{j+1} alpha (alpha-1) ... (alpha-j+1)
+    for j in range(order):
+        a = data.a[j + 1]
+        if a:
+            term = coef * cmath.exp((alpha - j) * log_t) * (parity * a)
+            corr += term
+            size += abs(term)
+        coef *= j - alpha
+    rnd = _EPS * (abs(alpha) * log_t.real + order + 4.0) * size
+    return corr, _tail_err(alpha, t, order, data), rnd
 
 
-def _n_periods(alpha: complex, cfg: PeriodSumConfig, data: dict) -> int:
-    """The N to sum: cfg.n_periods without a tolerance; otherwise
-    min(cap, max(2, ceil(T_tol / 2 pi))), where T_tol inverts the tail bound
-    c * T**e = tolerance/2.  N is not raised to shrink the rounding bound,
-    which grows with N."""
-    cap = cfg.n_periods
-    if not cfg.tolerance:  # None, or 0: no N meets it
-        return cap
-    half = 0.5 * cfg.tolerance
-    order = cfg.tail_order
-    c = _tail_err(alpha, 1.0, order, data)
-    e = alpha.real + 1.0 - order
-    log_n = (math.log(half) - math.log(c)) / e - math.log(TWO_PI)
+def _n_periods(alpha: complex, half: float, cap: int, order: int, data: _TailData) -> int:
+    """The smallest N whose order-``order`` tail bound is at most ``half``, at
+    most ``cap``: min(cap, max(2, ceil(T / 2 pi))) with T inverting c T**e = half."""
+    c = _tail_coef(alpha, order, data)
+    e = alpha.real + (1 - order)
+    log_n = (math.log(half) - math.log(c / abs(e))) / e - _LOG_TWO_PI
     if log_n >= math.log(cap):
         return cap
     n = max(2, math.ceil(math.exp(log_n)))
     # Guard the closed-form inversion against rounding in log/exp.
-    while n < cap and _tail_err(alpha, TWO_PI * n, order, data) > half:
+    while n < cap and c * (TWO_PI * n) ** e / abs(e) > half:
         n += 1
     return n
+
+
+def _best_order(alpha: complex, half: float, cap: int, data: _TailData) -> int:
+    """The lowest order whose tail bound reaches ``half`` at the fewest
+    periods, or, if none does within ``cap``, the order with the smallest
+    bound at ``cap``.  Inverts the bounds of all orders at once, in logs."""
+    neg_e = _ORDERS - (alpha.real + 1.0)  # -(exponent of T), > 0
+    log_step = np.log(np.abs(alpha - _ORDERS))  # log |alpha - j|, summed below
+    log_c = np.cumsum(log_step) - log_step + data.log_m - np.log(neg_e)
+    log_t = (log_c - math.log(half)) / neg_e  # log T at which each bound is half
+    log_t_cap = _LOG_TWO_PI + math.log(cap)
+    lowest = float(log_t.min())
+    if lowest >= log_t_cap:
+        return int(np.argmin(log_c - neg_e * log_t_cap))
+    n = max(2, math.ceil(math.exp(lowest - _LOG_TWO_PI)))
+    return int(np.argmax(log_t <= _LOG_TWO_PI + math.log(n)))
+
+
+def _choose_tail(alpha: complex, cfg: PeriodSumConfig, data: _TailData) -> tuple[int, int]:
+    """(N, K): the periods to sum and the tail order.
+
+    Without a tolerance, N = cfg.n_periods and K = cfg.tail_order (2 if
+    unset).  With one, the smallest N that some K <= K_MAX brings under
+    tolerance/2, then the smallest such K; a set tail_order pins K and only N
+    is chosen.  N is capped at cfg.n_periods and is not raised to shrink the
+    rounding bound, which grows with N."""
+    cap, order = cfg.n_periods, cfg.tail_order
+    if not cfg.tolerance:  # None, or 0: no N meets it
+        return cap, 2 if order is None else order
+    half = 0.5 * cfg.tolerance
+    if order is None:
+        order = _best_order(alpha, half, cap, data)
+    return _n_periods(alpha, half, cap, order, data), order
 
 
 def d_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
@@ -281,7 +366,7 @@ def d_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     alpha = complex(alpha)
     _require_convergent(alpha)
     _guard_poles(alpha, (-1.0, -2.0, -3.0))
-    n = _n_periods(alpha, cfg, _TAIL_P)
+    n, order = _choose_tail(alpha, cfg, _TAIL_P)
     k, loga, lograt = _period_grids(n)
     a = TWO_PI * k  # periods [2 pi k, 2 pi (k+1)), k = 1..N-1
     d1 = _power_increments(alpha + 1.0, loga, lograt)
@@ -291,11 +376,14 @@ def d_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     # keep every summand at the scale of the period integral itself.
     t2 = d2 - a * d1
     t3 = d3 - a * (2.0 * d2 - a * d1)
-    body = complex(np.sum(PI2_6 * d1 - (math.pi / 2.0) * t2 + 0.25 * t3))
+    summands = PI2_6 * d1 - (math.pi / 2.0) * t2 + 0.25 * t3
+    body = complex(np.sum(summands))
+    # Rounding: the cancellation in the centered moments, plus the exponents.
     rnd = 1e-16 * float(np.sum(np.abs(d3) + a * (2.0 * np.abs(d2) + a * np.abs(d1))))
+    rnd += float(np.sum(_phase_err(alpha, loga, lograt) * np.abs(summands)))
     total = i_alpha(alpha) + body
-    corr, err = _tail(alpha, n, cfg.tail_order, _TAIL_P)
-    return EvalResult(value=total + corr, abs_err=err + rnd + 1e-15 * abs(total), work=n)
+    corr, err, corr_rnd = _tail(alpha, n, order, _TAIL_P)
+    return EvalResult(value=total + corr, abs_err=err + rnd + corr_rnd + 1e-15 * abs(total), work=n)
 
 
 def e_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
@@ -303,22 +391,24 @@ def e_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     alpha = complex(alpha)
     _require_convergent(alpha)
     _guard_poles(alpha, (-1.0, -2.0))
-    n = _n_periods(alpha, cfg, _TAIL_Q)
+    n, order = _choose_tail(alpha, cfg, _TAIL_Q)
     k, loga, lograt = _period_grids(n)
     a = TWO_PI * k
     d1 = _power_increments(alpha + 1.0, loga, lograt)
     d2 = _power_increments(alpha + 2.0, loga, lograt)
     # q = (theta - pi)/2 on each period; use the centered theta moment.
     t2 = d2 - a * d1
-    body = complex(np.sum(0.5 * (t2 - math.pi * d1)))
+    summands = 0.5 * (t2 - math.pi * d1)
+    body = complex(np.sum(summands))
     rnd = 1e-16 * float(np.sum(np.abs(d2) + a * np.abs(d1)))
+    rnd += float(np.sum(_phase_err(alpha, loga, lograt) * np.abs(summands)))
     a1, a2 = alpha + 1.0, alpha + 2.0
     initial = 0.5 * (
         (cpow(TWO_PI, a2) - 1.0) / a2 - math.pi * (cpow(TWO_PI, a1) - 1.0) / a1
     )
     total = initial + body
-    corr, err = _tail(alpha, n, cfg.tail_order, _TAIL_Q)
-    return EvalResult(value=total + corr, abs_err=err + rnd + 1e-15 * abs(total), work=n)
+    corr, err, corr_rnd = _tail(alpha, n, order, _TAIL_Q)
+    return EvalResult(value=total + corr, abs_err=err + rnd + corr_rnd + 1e-15 * abs(total), work=n)
 
 
 def f_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
@@ -327,7 +417,7 @@ def f_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     alpha = complex(alpha)
     _require_convergent(alpha)
     _guard_poles(alpha, (-1.0,))
-    n = _n_periods(alpha, cfg, _TAIL_F)
+    n, order = _choose_tail(alpha, cfg, _TAIL_F)
     k, loga, lograt = _period_grids(n)
     d1 = _power_increments(alpha + 1.0, loga, lograt)
     signs = np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0)
@@ -336,11 +426,12 @@ def f_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResu
     m = terms.size - terms.size % 2
     paired = terms[:m:2] + terms[1:m:2]
     body = complex(np.sum(paired)) + (complex(terms[-1]) if terms.size % 2 else 0.0)
+    rnd = float(np.sum(_phase_err(alpha, loga, lograt) * np.abs(d1)))
     a1 = alpha + 1.0
     initial = (cpow(TWO_PI, a1) - 1.0) / a1
     total = initial + body
-    corr, err = _tail(alpha, n, cfg.tail_order, _TAIL_F)
-    return EvalResult(value=total + corr, abs_err=err + 1e-15 * abs(total), work=n)
+    corr, err, corr_rnd = _tail(alpha, n, order, _TAIL_F)
+    return EvalResult(value=total + corr, abs_err=err + rnd + corr_rnd + 1e-15 * abs(total), work=n)
 
 
 # --- incomplete-gamma series for D -------------------------------------------

@@ -21,7 +21,7 @@ import scipy.special as sp
 
 from .core import DomainError, EvalResult, cpow, kahan_sum
 from .kernels import PI2_6, TWO_PI, KernelId, kernel_eval
-from .mellin import ZETA4, d_closed, i_alpha
+from .mellin import _TAIL_P, _tail, d_closed, i_alpha
 from .specfun import inc_gamma, zeta_ref
 
 _PI2 = math.pi ** 2
@@ -35,17 +35,6 @@ def triangle_fourier(y: float) -> float:
         z2 = z * z
         return 1.0 - z2 / 12.0 + z2 * z2 / 360.0 - z2 * z2 * z2 / 20160.0
     return (1.0 - math.cos(z)) / (2.0 * _PI2 * y * y)
-
-
-def _p_tail_integral(alpha: complex, t: float) -> tuple[complex, float]:
-    """int_t^oo y^alpha p(y) dy for t a positive multiple of 2 pi, by two
-    integration-by-parts passes against the periodic antiderivatives of p."""
-    # First pass boundary term vanishes (sum sin(n t)/n^3 = 0); second gives
-    # alpha t^{alpha-1} * (-zeta(4)).
-    val = alpha * cpow(t, alpha - 1.0) * (-ZETA4)
-    u = alpha.real
-    err = abs(alpha) * abs(alpha - 1.0) * ZETA4 * t ** (u - 1.0) / abs(u - 1.0)
-    return val, err
 
 
 @dataclass(frozen=True)
@@ -114,9 +103,10 @@ def _triangle_fourier_theta_tail(w: complex, x_cut: int) -> tuple[complex, float
     if x_cut < 1:
         raise DomainError("tail cut must be a positive integer")
     mean_part = -(1.0 / 12.0) * cpow(float(x_cut), w - 1.0) / (w - 1.0)
-    p_val, p_err = _p_tail_integral(w - 2.0, TWO_PI * x_cut)
+    # int_{2 pi X}^oo y^(w-2) p(y) dy, by two integration-by-parts passes
+    p_val, p_err, p_rnd = _tail(w - 2.0, x_cut, 2, _TAIL_P)
     scale = cpow(TWO_PI, 1.0 - w) / (2.0 * _PI2)
-    return mean_part - scale * p_val, abs(scale) * p_err
+    return mean_part - scale * p_val, abs(scale) * (p_err + p_rnd)
 
 
 def _gaussian_theta_tail(w: complex, x_cut: int) -> tuple[complex, float]:

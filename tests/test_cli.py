@@ -74,6 +74,26 @@ class TestRunConfig:
         assert code == EXIT_OK
         assert json.loads(out)["work"] == 5000  # so does the file
 
+    def test_one_period_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--s", "0.5+3i", "--method", "d", "--n-periods", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "n_periods" in err
+
+    def test_tail_order_pins_k(self, capsys):
+        # Without --tail-order the tail order is chosen with N; pinning order
+        # 2 chooses N alone, which needs many more periods.
+        argv = ("eval", "--s", "0.5+14.134725i", "--method", "e", "--tolerance", "1e-8")
+        reports = []
+        for extra in ((), ("--tail-order", "2")):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == EXIT_OK
+            reports.append(json.loads(out))
+        auto, pinned = reports
+        assert auto["abs_err"] <= 1e-8 and pinned["abs_err"] <= 1e-8
+        assert auto["work"] < 100 < pinned["work"]
+        assert abs(auto["value_re"] - pinned["value_re"]) <= 2e-8
+
     def test_bad_env_config_is_usage_error(self, tmp_path, monkeypatch, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("no_such_key = 3\n")
@@ -124,6 +144,14 @@ class TestEval:
         report = json.loads(out)
         assert report["work"] < 100_000
         assert report["abs_err"] <= 1e-8
+
+    def test_tolerance_met_at_large_height(self, capsys):
+        # At N = 100 000 and tail order 2 this reported abs_err 9.3e-9.
+        code, out, _ = run_cli(
+            capsys, "eval", "--s", "0.5+90i", "--method", "f", "--tolerance", "1e-10"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["abs_err"] <= 1e-10
 
     def test_deterministic_output(self, capsys):
         args = ("eval", "--s", "0.3+7i", "--method", "e", "--n-periods", "2000")
@@ -226,3 +254,27 @@ class TestZeroScan:
         auto, pinned = reports
         assert auto["n_candidates"] == pinned["n_candidates"] == 1
         assert auto["candidates"] == pinned["candidates"]
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        session = [
+            ("eval", "--s", "2+0i", "--method", "ref"),
+            ("c-bounds", "--N", "20", "--output-format", "csv"),
+            ("eval", "--s", "2+0i", "--method", "nope"),
+            ("mellin", "--kernel", "q", "--alpha", "-2.5+1i", "--method", "period",
+             "--n-periods", "50"),
+            ("eval", "--s", "-0.5+1i", "--method", "ref"),
+            ("frobnicate",),
+            ("eval", "--s", "0.5+3i", "--method", "d", "--output-format", "text"),
+        ]
+        reused = [run_cli(capsys, *argv) for argv in session]
+        monkeypatch.setattr(cli, "_parser", cli.make_parser)
+        fresh = [run_cli(capsys, *argv) for argv in session]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [
+            EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_DOMAIN, EXIT_USAGE, EXIT_OK,
+        ]

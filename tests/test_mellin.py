@@ -32,12 +32,17 @@ from dilogzeta import (
     mellin_numeric,
 )
 from dilogzeta import mellin
+from dilogzeta.core import cpow
 from dilogzeta.mellin import (
     _TAIL_F,
     _TAIL_P,
     _TAIL_Q,
+    _ZETA,
+    K_MAX,
+    _choose_tail,
     _period_grids,
     _tail,
+    _tail_err,
     a_tilde_closed,
     binomial_zeta_sum,
     e_closed,
@@ -297,3 +302,139 @@ class TestToleranceDrivenN:
             PeriodSumConfig(tolerance=-1e-8)
         with pytest.raises(DomainError):
             PeriodSumConfig(tolerance=float("nan"))
+
+
+_KERNELS = ((d_quad, _TAIL_P, 0), (e_quad, _TAIL_Q, 1), (f_quad, _TAIL_F, 2))
+
+
+class TestJointTailChoice:
+    """The default config with a tolerance chooses N and the tail order K."""
+
+    @given(
+        st.floats(min_value=0.05, max_value=0.95, exclude_min=True, exclude_max=True),
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.floats(min_value=-12.0, max_value=-6.0),
+    )
+    def test_error_contract_and_tail_budget(self, u, v, log_tol):
+        s = complex(u, v)
+        tol = 10.0 ** log_tol
+        cfg = PeriodSumConfig(tolerance=tol)
+        cap = cfg.n_periods
+        truths = _mp_integrals(s)
+        for (fn, data, i), alpha in zip(_KERNELS, (-2.0 - s, -1.0 - s, -1.0 - s)):
+            r = fn(alpha, cfg)
+            assert float(abs(mp.mpc(r.value) - truths[i])) <= r.abs_err
+            assert r.abs_err <= tol
+            assert 2 <= r.work <= cap
+            n, order = _choose_tail(alpha, cfg, data)
+            assert n == r.work
+            assert _tail(alpha, n, order, data)[1] <= tol / 2.0
+            # N is the smallest that any order brings under tol/2 ...
+            if n > 2:
+                t = TWO_PI * (n - 1)
+                assert min(_tail_err(alpha, t, k, data) for k in range(K_MAX + 1)) > tol / 2.0
+            # ... and K the lowest order that does so at N.
+            assert all(_tail_err(alpha, TWO_PI * n, k, data) > tol / 2.0 for k in range(order))
+
+    @pytest.mark.parametrize("k", range(K_MAX + 1))
+    def test_every_order_keeps_the_contract(self, k):
+        s = 0.3 + 4.0j
+        truths = _mp_integrals(s)
+        for (fn, _, i), alpha in zip(_KERNELS, (-2.0 - s, -1.0 - s, -1.0 - s)):
+            for n in (3, 40):
+                r = fn(alpha, PeriodSumConfig(n_periods=n, tail_order=k))
+                assert float(abs(mp.mpc(r.value) - truths[i])) <= r.abs_err
+
+    @pytest.mark.parametrize("s", [0.86 + 74.9j, 0.3 - 60.7j])
+    def test_rounding_is_charged(self, s):
+        # A high order leaves the rounding of the sums as the whole budget;
+        # f's body rounding is mostly that of the exponents of a^beta (about
+        # eps |alpha| log a per period), without which f missed by 10-15x.
+        cfg = PeriodSumConfig(n_periods=80, tail_order=K_MAX)
+        truths = _mp_integrals(s)
+        for (fn, _, i), alpha in zip(_KERNELS, (-2.0 - s, -1.0 - s, -1.0 - s)):
+            r = fn(alpha, cfg)
+            assert float(abs(mp.mpc(r.value) - truths[i])) <= r.abs_err
+
+    def test_higher_orders_shrink_the_bound(self):
+        alpha = -1.3 - 30.0j
+        for data in (_TAIL_P, _TAIL_Q, _TAIL_F):
+            bounds = [_tail_err(alpha, TWO_PI * 50, k, data) for k in range(K_MAX + 1)]
+            assert bounds[K_MAX] < 1e-12 * bounds[2]
+
+    def test_pinned_order_keeps_fixed_order_n(self):
+        # With a tolerance, a set tail_order chooses N only, as before the
+        # joint choice; without one, N is n_periods and K defaults to 2.
+        alpha = -2.5 - 14.0j
+        for order in (0, 1, 2):
+            cfg = PeriodSumConfig(tail_order=order, tolerance=1e-6)
+            n, k = _choose_tail(alpha, cfg, _TAIL_P)
+            assert k == order and n < cfg.n_periods
+            assert _tail_err(alpha, TWO_PI * n, order, _TAIL_P) <= 5e-7
+            assert _tail_err(alpha, TWO_PI * (n - 1), order, _TAIL_P) > 5e-7
+        assert _choose_tail(alpha, PeriodSumConfig(n_periods=700), _TAIL_P) == (700, 2)
+        n, k = _choose_tail(alpha, PeriodSumConfig(tolerance=1e-6), _TAIL_P)
+        assert k > 2 and n < 100
+
+    def test_tail_order_validated(self):
+        PeriodSumConfig(tail_order=K_MAX)
+        for bad in (-1, K_MAX + 1):
+            with pytest.raises(DomainError):
+                PeriodSumConfig(tail_order=bad)
+
+
+class TestTailTable:
+    def test_orders_up_to_two_reproduce_the_fixed_constants(self):
+        # m_0..m_2 and A_1(2 pi N), A_2(2 pi N) of the order <= 2 tails, as
+        # they were written out before the table.
+        zeta3, zeta4, pi2_6 = 1.2020569031595942854, math.pi ** 4 / 90.0, math.pi ** 2 / 6.0
+        fixed = (
+            (_TAIL_P, (pi2_6, zeta3, zeta4), lambda n: (0.0, -zeta4)),
+            (_TAIL_Q, (math.pi / 2.0, pi2_6, zeta3), lambda n: (pi2_6, 0.0)),
+            (_TAIL_F, (1.0, math.pi, 14.0 * zeta3 / math.pi),
+             lambda n: (-math.pi * (1.0 if n % 2 == 0 else -1.0), 0.0)),
+        )
+        for data, m, a_at in fixed:
+            assert data.m[:3] == m
+            for n in (2, 3, 1000, 100_001):
+                assert tuple(data.parity ** n * a for a in data.a[1:3]) == a_at(n)
+
+    @given(
+        st.floats(min_value=-3.0, max_value=-1.05),
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.integers(min_value=2, max_value=100_000),
+        st.sampled_from((0, 1, 2)),
+    )
+    def test_tail_matches_the_fixed_order_formulas(self, re_a, im_a, n, order):
+        alpha = complex(re_a, im_a)
+        u, t = alpha.real, TWO_PI * n
+        zeta3, zeta4, pi2_6 = 1.2020569031595942854, math.pi ** 4 / 90.0, math.pi ** 2 / 6.0
+        fixed = (
+            (_TAIL_P, (pi2_6, zeta3, zeta4), 0.0, -zeta4),
+            (_TAIL_Q, (math.pi / 2.0, pi2_6, zeta3), pi2_6, 0.0),
+            (_TAIL_F, (1.0, math.pi, 14.0 * zeta3 / math.pi),
+             -math.pi * (1.0 if n % 2 == 0 else -1.0), 0.0),
+        )
+        for data, (m0, m1, m2), a1, a2 in fixed:
+            if order == 0:
+                corr, err = 0.0 + 0.0j, m0 * t ** (u + 1.0) / abs(u + 1.0)
+            elif order == 1:
+                corr, err = -cpow(t, alpha) * a1, abs(alpha) * m1 * t ** u / abs(u)
+            else:
+                corr = -cpow(t, alpha) * a1 + alpha * cpow(t, alpha - 1.0) * a2
+                err = abs(alpha) * abs(alpha - 1.0) * m2 * t ** (u - 1.0) / abs(u - 1.0)
+            got_corr, got_err, rnd = _tail(alpha, n, order, data)
+            assert got_corr == corr or abs(corr) == 0.0 == abs(got_corr)
+            assert got_err == err
+            assert 0.0 <= rnd <= 1e-12 * abs(corr)
+
+    def test_zeta_table_matches_mpmath(self):
+        assert len(_ZETA) == K_MAX + 3
+        with mp.workdps(30):
+            for n in range(2, K_MAX + 3):
+                assert _ZETA[n] == pytest.approx(float(mp.zeta(n)), rel=4e-16)
+            for k in range(1, K_MAX + 1):
+                assert _TAIL_P.m[k] == _ZETA[k + 2]
+                assert _TAIL_Q.m[k] == _ZETA[k + 1]
+                lam = (1 - mp.mpf(2) ** -(k + 1)) * mp.zeta(k + 1)
+                assert _TAIL_F.m[k] == pytest.approx(float(4 / mp.pi * 2 ** k * lam), rel=1e-15)

@@ -22,8 +22,8 @@ from dilogzeta import (
     zeta_via_e,
     zeta_via_f,
 )
-from dilogzeta.mellin import _TAIL_F, _TAIL_P, _TAIL_Q, _tail
-from dilogzeta.zeta_reps import alternating_series_identity
+from dilogzeta.mellin import _TAIL_F, _TAIL_P, _TAIL_Q, _choose_tail, _tail
+from dilogzeta.zeta_reps import _integral_cfg, alternating_series_identity
 
 CFG = PeriodSumConfig(n_periods=100_000, tail_order=2)
 POINTS = [0.5, 0.3 + 5.0j, 0.9 - 10.0j, 0.1 + 1.0j]
@@ -67,9 +67,14 @@ class TestRepresentationAgreement:
         for fn, alpha, data, scale in cases:
             r = fn(s, MellinMethod.PERIOD_SUM, cfg)
             assert float(abs(mp.mpc(r.value) - truth)) <= r.abs_err
+            # Below ~1e-10 the rounding of the period sums, which no N
+            # lowers, can exceed the tolerance by itself at |Im s| ~ 100.
+            if tol >= 1e-10:
+                assert r.abs_err <= tol
             assert 2 <= r.work <= cap
             if r.work < cap:
-                assert scale * _tail(alpha, r.work, 2, data)[1] <= tol / 2.0
+                _, order = _choose_tail(alpha, _integral_cfg(cfg, scale), data)
+                assert scale * _tail(alpha, r.work, order, data)[1] <= tol / 2.0
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
