@@ -21,14 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DomainError, PoleError
-from .mellin import (
-    MellinMethod,
-    PeriodSumConfig,
-    _dispatch_d,
-    d_tilde,
-    e_val,
-    f_val,
-)
+from .kernels import KernelId
+from .mellin import MellinMethod, PeriodSumConfig, kernel_integral
 from .muntz import (
     corollary_5_5_residual,
     gaussian,
@@ -115,28 +109,12 @@ def _fmt(x: float) -> str:
 
 def _json_safe(value):
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+        return value if math.isfinite(value) else _fmt(value)
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
-
-
-def worker_count() -> int:
-    """Worker cap from DILOG_ZETA_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("DILOG_ZETA_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-    if n <= 0:
-        return max(1, os.cpu_count() or 1)
-    return n
 
 
 def _emit(report: dict, rows: Optional[list] = None, fmt: str = "json", out=None) -> None:
@@ -219,6 +197,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # --- subcommands ----------------------------------------------------------------
 
 
+# The --method names of the compare and mellin subcommands.
+_METHODS = {"closed": MellinMethod.CLOSED_FORM, "period": MellinMethod.PERIOD_SUM,
+            "gamma": MellinMethod.GAMMA_SERIES}
+
+
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = parse_complex(args.s)
     cfg_ps = cfg.period_cfg()
@@ -249,7 +232,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     rng = np.random.RandomState(cfg.seed)
     re_vals = rng.uniform(args.re_min, args.re_max, args.points)
     im_vals = rng.uniform(args.im_min, args.im_max, args.points)
-    method = MellinMethod.CLOSED_FORM if args.method == "closed" else MellinMethod.PERIOD_SUM
+    method = _METHODS[args.method]
     cfg_ps = cfg.period_cfg()
     rows = []
     max_dev_all = 0.0
@@ -364,13 +347,8 @@ def cmd_muntz_check(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_mellin(args: argparse.Namespace, cfg: RunConfig) -> int:
     alpha = parse_complex(args.alpha)
-    method = {
-        "closed": MellinMethod.CLOSED_FORM,
-        "period": MellinMethod.PERIOD_SUM,
-        "gamma": MellinMethod.GAMMA_SERIES,
-    }[args.method]
-    integral = {"p": _dispatch_d, "ptilde": d_tilde, "q": e_val, "f": f_val}[args.kernel]
-    r = integral(alpha, method, cfg.period_cfg())
+    kernel = KernelId.ALT if args.kernel == "f" else KernelId(args.kernel)
+    r = kernel_integral(kernel, alpha, _METHODS[args.method], cfg.period_cfg())
     report = {
         "kernel": args.kernel, "alpha": format_complex(alpha), "method": args.method,
         "value_re": r.value.real, "value_im": r.value.imag,

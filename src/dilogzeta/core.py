@@ -6,8 +6,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class DomainError(ValueError):
     """Argument outside the domain of validity of an operation."""
@@ -40,8 +38,10 @@ def cpow(base: complex, expo: complex) -> complex:
     return cmath.exp(expo * cmath.log(base))
 
 
-def kahan_sum(terms) -> float:
-    """Compensated sum of a real iterable in fixed (given) order."""
+def kahan_sum(terms) -> float | complex:
+    """Compensated sum of a real or complex iterable in fixed (given) order.
+    A complex first term turns the running sums complex, exactly as if they
+    had started at 0j."""
     s = 0.0
     c = 0.0
     for t in terms:
@@ -50,23 +50,6 @@ def kahan_sum(terms) -> float:
         c = (tmp - s) - y
         s = tmp
     return s
-
-
-def kahan_csum(terms) -> complex:
-    """Compensated sum of a complex iterable in fixed (given) order."""
-    s = 0.0 + 0.0j
-    c = 0.0 + 0.0j
-    for t in terms:
-        y = t - c
-        tmp = s + y
-        c = (tmp - s) - y
-        s = tmp
-    return s
-
-
-def fixed_order_sum(arr: np.ndarray) -> complex:
-    """Deterministic reduction of a 1-d array (pairwise, order fixed by the array)."""
-    return complex(np.sum(arr))
 
 
 def require_finite(x: float, name: str = "x") -> None:

@@ -11,6 +11,12 @@ summation with exact antiderivatives ("PeriodSum", the quadrature oracle that
 never touches zeta), and -- for D -- by an incomplete-gamma series and, for the
 tail piece above 2*pi, by a binomial/zeta double series.  The redundancy is the
 point: the identities are the test suite.
+
+``kernel_integral(kernel, alpha, method, cfg)`` is the one entry point that
+picks the method.  On each period every kernel is a polynomial of degree <= 2
+in theta, so one engine, ``_period_sum``, computes all three period sums from
+one table row per kernel: the polynomial's coefficients and the tail
+constants.  ``d_quad``, ``e_quad``, ``f_quad`` and ``i_alpha`` name its rows.
 """
 
 from __future__ import annotations
@@ -24,14 +30,8 @@ import numpy as np
 import scipy.special as sp
 
 from .core import DomainError, EvalResult, PoleError, cpow
-from .kernels import PI2_6, PI2_12, TWO_PI
-from .specfun import (
-    binom_complex,
-    inc_gamma_many,
-    zeta_eta_path,
-    zeta_partial,
-    zeta_ref,
-)
+from .kernels import PI2_6, PI2_12, TWO_PI, KernelId
+from .specfun import inc_gamma_many, zeta_eta_path, zeta_partial, zeta_ref
 
 ZETA3 = 1.2020569031595942854
 ZETA4 = math.pi ** 4 / 90.0
@@ -49,7 +49,6 @@ class MellinMethod(enum.Enum):
     CLOSED_FORM = "closed"
     PERIOD_SUM = "periods"
     GAMMA_SERIES = "gamma-series"
-    BINOMIAL_SERIES = "binomial-series"
 
 
 @dataclass(frozen=True)
@@ -95,16 +94,10 @@ def _require_convergent(alpha: complex) -> None:
 # --- closed forms -------------------------------------------------------------
 
 
-def i_alpha(alpha: complex) -> complex:
-    """The initial-interval integral int_1^{2 pi} y^alpha p(y) dy, exactly."""
-    alpha = complex(alpha)
-    _guard_poles(alpha, (-1.0, -2.0, -3.0))
+def _d_from_zeta(alpha: complex, z: complex) -> complex:
+    """The closed form of D(alpha) with z = zeta(-2 - alpha)."""
     a1, a2, a3 = alpha + 1.0, alpha + 2.0, alpha + 3.0
-    return (
-        PI2_6 * (cpow(TWO_PI, a1) - 1.0) / a1
-        - (math.pi / 2.0) * (cpow(TWO_PI, a2) - 1.0) / a2
-        + 0.25 * (cpow(TWO_PI, a3) - 1.0) / a3
-    )
+    return -PI2_6 / a1 + (math.pi / 2.0) / a2 - 0.25 / a3 - cpow(TWO_PI, a3) * z / (2.0 * a2 * a1)
 
 
 def d_n_closed(alpha: complex, n_periods: int) -> complex:
@@ -124,12 +117,8 @@ def d_n_closed(alpha: complex, n_periods: int) -> complex:
     _guard_poles(alpha, (-1.0, -2.0, -3.0))
     a1, a2, a3 = alpha + 1.0, alpha + 2.0, alpha + 3.0
     t = TWO_PI * n_periods
-    zn = zeta_partial(-2.0 - alpha, n_periods)
     return (
-        -PI2_6 / a1
-        + (math.pi / 2.0) / a2
-        - 0.25 / a3
-        - cpow(TWO_PI, a3) * zn / (2.0 * a2 * a1)
+        _d_from_zeta(alpha, zeta_partial(-2.0 - alpha, n_periods))
         + PI2_6 * cpow(t, a1) / a1
         + (math.pi / 2.0) * cpow(t, a2) / (a2 * a1)
         + 0.5 * cpow(t, a3) / (a3 * a2 * a1)
@@ -142,7 +131,6 @@ def d_closed(alpha: complex) -> complex:
     alpha = complex(alpha)
     _require_convergent(alpha)
     _guard_poles(alpha, (-1.0, -2.0, -3.0))
-    a1, a2, a3 = alpha + 1.0, alpha + 2.0, alpha + 3.0
     zarg = -2.0 - alpha
     if zarg.real > 0.0:
         z = zeta_ref(zarg).value
@@ -150,12 +138,7 @@ def d_closed(alpha: complex) -> complex:
         # -2 < Re alpha < -1 puts the zeta argument in Re <= 0; the accelerated
         # alternating series continues eta analytically there.
         z, _ = zeta_eta_path(zarg)
-    return (
-        -PI2_6 / a1
-        + (math.pi / 2.0) / a2
-        - 0.25 / a3
-        - cpow(TWO_PI, a3) * z / (2.0 * a2 * a1)
-    )
+    return _d_from_zeta(alpha, z)
 
 
 def e_closed(alpha: complex) -> complex:
@@ -212,10 +195,14 @@ def _cexpm1(w: np.ndarray) -> np.ndarray:
     return (np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2) + 1j * (np.exp(x) * np.sin(y))
 
 
-def _power_increments(beta: complex, loga: np.ndarray, lograt: np.ndarray) -> np.ndarray:
-    """int_a^{a(1+1/k)} y^{beta-1} dy = a^beta expm1(beta log(1+1/k)) / beta,
-    evaluated without subtracting nearly equal powers."""
-    return np.exp(beta * loga) * _cexpm1(beta * lograt) / beta
+def _power_increments(betas: list[complex], loga: np.ndarray, lograt: np.ndarray) -> list[np.ndarray]:
+    """int_a^{a(1+1/k)} y^{beta-1} dy = a^beta expm1(beta log(1+1/k)) / beta for
+    each beta in ``betas``, evaluated without subtracting nearly equal powers.
+    All come from one pass over a column of exponents; a single exponent stays
+    a scalar, which numpy broadcasts faster."""
+    beta = np.array(betas)[:, None] if len(betas) > 1 else betas[0]
+    rows = np.exp(beta * loga) * _cexpm1(beta * lograt) / beta
+    return list(rows) if len(betas) > 1 else [rows]
 
 
 def _phase_err(alpha: complex, loga: np.ndarray, lograt: np.ndarray) -> np.ndarray:
@@ -358,80 +345,105 @@ def _choose_tail(alpha: complex, cfg: PeriodSumConfig, data: _TailData) -> tuple
     return _n_periods(alpha, half, cap, order, data), order
 
 
+@dataclass(frozen=True)
+class _PeriodKernel:
+    """A row of the period-sum table: on the period [a, a + 2 pi), k = a/2pi,
+    the kernel is parity**k * sum_j coef[j] (y - a)^j; ``tail`` holds the
+    parity and the integration-by-parts tail constants."""
+
+    coef: tuple[float, ...]
+    tail: _TailData
+
+
+_P = _PeriodKernel((PI2_6, -math.pi / 2.0, 0.25), _TAIL_P)  # pi^2/6 - theta (2 pi - theta)/4
+_Q = _PeriodKernel((-math.pi / 2.0, 0.5), _TAIL_Q)  # the sawtooth (theta - pi)/2
+_ALT = _PeriodKernel((1.0,), _TAIL_F)  # the square wave (-1)^k
+
+
+def _scaled(c: float, x):
+    """c * x, without an array pass when c is 1."""
+    return x if c == 1 else c * x
+
+
+def _initial_interval(alpha: complex, kernel: _PeriodKernel) -> complex:
+    """int_1^{2 pi} y^alpha kernel(y) dy = sum_j coef[j] ((2 pi)^b - 1)/b with
+    b = alpha + j + 1, exactly.  Negative coefficients are subtracted, which
+    keeps the sign of a zero imaginary part at real alpha."""
+    _guard_poles(alpha, [-1.0 - j for j in range(len(kernel.coef))])
+    terms = []
+    for j, c in enumerate(kernel.coef):
+        b = alpha + (j + 1.0)
+        term = abs(c) * (cpow(TWO_PI, b) - 1.0) / b
+        terms.append(-term if c < 0 else term)
+    return sum(terms[1:], terms[0])
+
+
+def _period_sum(alpha: complex, cfg: PeriodSumConfig, kernel: _PeriodKernel) -> EvalResult:
+    """int_1^oo y^alpha kernel(y) dy by exact antiderivatives per period,
+    independent of zeta: the initial interval, the periods k = 1..N-1, and the
+    integration-by-parts tail beyond 2 pi N, with N and K chosen from ``cfg``."""
+    alpha = complex(alpha)
+    _require_convergent(alpha)
+    initial = _initial_interval(alpha, kernel)
+    n, order = _choose_tail(alpha, cfg, kernel.tail)
+    k, loga, lograt = _period_grids(n)
+    a = TWO_PI * k  # periods [2 pi k, 2 pi (k+1)), k = 1..N-1
+    deg = len(kernel.coef) - 1
+    d = _power_increments([alpha + (i + 1.0) for i in range(deg + 1)], loga, lograt)
+    # Moments of theta = y - a against y^alpha, centred from d[i] (moments of
+    # y) by the binomial theorem in Horner form in a; the centred combinations
+    # keep every summand at the scale of the period integral itself.
+    parts = []
+    for j, c in enumerate(kernel.coef):
+        moment = d[0]
+        for i in range(1, j + 1):
+            moment = _scaled(math.comb(j, i), d[i]) - a * moment
+        parts.append(_scaled(c, moment))
+    summands = sum(parts[1:], parts[0])
+    # Rounding: the cancellation in the top centred moment, plus the exponents.
+    rnd = 0.0
+    if deg:
+        size = np.abs(d[0])
+        for i in range(1, deg + 1):
+            size = _scaled(math.comb(deg, i), np.abs(d[i])) + a * size
+        rnd = 1e-16 * float(np.sum(size))
+    rnd += float(np.sum(_phase_err(alpha, loga, lograt) * np.abs(summands)))
+    if kernel.tail.parity < 0:
+        # Alternate the sign by period and pair adjacent periods before the
+        # reduction: each pair nearly cancels, so the alternating series is
+        # summed as an absolutely convergent one.
+        terms = np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0) * summands
+        m = terms.size - terms.size % 2
+        paired = terms[:m:2] + terms[1:m:2]
+        body = complex(np.sum(paired)) + (complex(terms[-1]) if terms.size % 2 else 0.0)
+    else:
+        body = complex(np.sum(summands))
+    total = initial + body
+    corr, err, corr_rnd = _tail(alpha, n, order, kernel.tail)
+    return EvalResult(value=total + corr, abs_err=err + rnd + corr_rnd + 1e-15 * abs(total), work=n)
+
+
+def i_alpha(alpha: complex) -> complex:
+    """The initial-interval integral int_1^{2 pi} y^alpha p(y) dy, exactly."""
+    return _initial_interval(complex(alpha), _P)
+
+
 def d_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
     """D(alpha) by exact antiderivative sums per period; independent of zeta.
 
     This is the non-circular route: the zero-scan residuals are built on it.
     """
-    alpha = complex(alpha)
-    _require_convergent(alpha)
-    _guard_poles(alpha, (-1.0, -2.0, -3.0))
-    n, order = _choose_tail(alpha, cfg, _TAIL_P)
-    k, loga, lograt = _period_grids(n)
-    a = TWO_PI * k  # periods [2 pi k, 2 pi (k+1)), k = 1..N-1
-    d1 = _power_increments(alpha + 1.0, loga, lograt)
-    d2 = _power_increments(alpha + 2.0, loga, lograt)
-    d3 = _power_increments(alpha + 3.0, loga, lograt)
-    # Moments of theta = y - 2 pi k against y^alpha; the centered combinations
-    # keep every summand at the scale of the period integral itself.
-    t2 = d2 - a * d1
-    t3 = d3 - a * (2.0 * d2 - a * d1)
-    summands = PI2_6 * d1 - (math.pi / 2.0) * t2 + 0.25 * t3
-    body = complex(np.sum(summands))
-    # Rounding: the cancellation in the centered moments, plus the exponents.
-    rnd = 1e-16 * float(np.sum(np.abs(d3) + a * (2.0 * np.abs(d2) + a * np.abs(d1))))
-    rnd += float(np.sum(_phase_err(alpha, loga, lograt) * np.abs(summands)))
-    total = i_alpha(alpha) + body
-    corr, err, corr_rnd = _tail(alpha, n, order, _TAIL_P)
-    return EvalResult(value=total + corr, abs_err=err + rnd + corr_rnd + 1e-15 * abs(total), work=n)
+    return _period_sum(alpha, cfg, _P)
 
 
 def e_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
     """E(alpha) by exact per-period sums of the sawtooth kernel."""
-    alpha = complex(alpha)
-    _require_convergent(alpha)
-    _guard_poles(alpha, (-1.0, -2.0))
-    n, order = _choose_tail(alpha, cfg, _TAIL_Q)
-    k, loga, lograt = _period_grids(n)
-    a = TWO_PI * k
-    d1 = _power_increments(alpha + 1.0, loga, lograt)
-    d2 = _power_increments(alpha + 2.0, loga, lograt)
-    # q = (theta - pi)/2 on each period; use the centered theta moment.
-    t2 = d2 - a * d1
-    summands = 0.5 * (t2 - math.pi * d1)
-    body = complex(np.sum(summands))
-    rnd = 1e-16 * float(np.sum(np.abs(d2) + a * np.abs(d1)))
-    rnd += float(np.sum(_phase_err(alpha, loga, lograt) * np.abs(summands)))
-    a1, a2 = alpha + 1.0, alpha + 2.0
-    initial = 0.5 * (
-        (cpow(TWO_PI, a2) - 1.0) / a2 - math.pi * (cpow(TWO_PI, a1) - 1.0) / a1
-    )
-    total = initial + body
-    corr, err, corr_rnd = _tail(alpha, n, order, _TAIL_Q)
-    return EvalResult(value=total + corr, abs_err=err + rnd + corr_rnd + 1e-15 * abs(total), work=n)
+    return _period_sum(alpha, cfg, _Q)
 
 
 def f_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
-    """F(alpha) by signed per-period sums, pairing consecutive periods so the
-    alternating series is summed as an absolutely convergent one."""
-    alpha = complex(alpha)
-    _require_convergent(alpha)
-    _guard_poles(alpha, (-1.0,))
-    n, order = _choose_tail(alpha, cfg, _TAIL_F)
-    k, loga, lograt = _period_grids(n)
-    d1 = _power_increments(alpha + 1.0, loga, lograt)
-    signs = np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0)
-    terms = signs * d1
-    # Pair adjacent periods before the reduction: each pair nearly cancels.
-    m = terms.size - terms.size % 2
-    paired = terms[:m:2] + terms[1:m:2]
-    body = complex(np.sum(paired)) + (complex(terms[-1]) if terms.size % 2 else 0.0)
-    rnd = float(np.sum(_phase_err(alpha, loga, lograt) * np.abs(d1)))
-    a1 = alpha + 1.0
-    initial = (cpow(TWO_PI, a1) - 1.0) / a1
-    total = initial + body
-    corr, err, corr_rnd = _tail(alpha, n, order, _TAIL_F)
-    return EvalResult(value=total + corr, abs_err=err + rnd + corr_rnd + 1e-15 * abs(total), work=n)
+    """F(alpha) by signed per-period sums of the square wave."""
+    return _period_sum(alpha, cfg, _ALT)
 
 
 # --- incomplete-gamma series for D -------------------------------------------
@@ -463,58 +475,37 @@ def d_gamma_series(alpha: complex, n_terms: int = 2000) -> EvalResult:
     return EvalResult(value=value, abs_err=err, work=n_terms)
 
 
-# --- derived integrals and dispatch ------------------------------------------
+# --- dispatch -----------------------------------------------------------------
 
 
-def _dispatch_d(alpha: complex, method: MellinMethod, cfg: PeriodSumConfig) -> EvalResult:
-    if method is MellinMethod.CLOSED_FORM:
-        v = d_closed(alpha)
-        return EvalResult(value=v, abs_err=1e-13 * max(1.0, abs(v)), work=1)
-    if method is MellinMethod.PERIOD_SUM:
-        return d_quad(alpha, cfg)
-    if method is MellinMethod.GAMMA_SERIES:
-        return d_gamma_series(alpha)
-    raise DomainError(f"method {method} not available for D")
-
-
-def d_tilde(
+def kernel_integral(
+    kernel: KernelId,
     alpha: complex,
     method: MellinMethod = MellinMethod.CLOSED_FORM,
     cfg: PeriodSumConfig = PeriodSumConfig(),
 ) -> EvalResult:
-    """The shifted-kernel integral int_1^oo y^alpha (p(y) + pi^2/12) dy
-    = D(alpha) - (pi^2/12)/(alpha+1)."""
+    """int_1^oo y^alpha kernel(y) dy by ``method``: D for P, E for Q, F for ALT,
+    and for PTILDE = P + pi^2/12 the shifted D(alpha) - (pi^2/12)/(alpha+1).
+
+    The closed forms get abs_err 1e-13 max(1, |value|); the period sums take
+    N and the tail order from ``cfg``; the gamma series exists for D only.
+    """
     alpha = complex(alpha)
-    _require_convergent(alpha)
-    base = _dispatch_d(alpha, method, cfg)
-    value = base.value - PI2_12 / (alpha + 1.0)
-    return EvalResult(value=value, abs_err=base.abs_err, work=base.work)
-
-
-def e_val(
-    alpha: complex,
-    method: MellinMethod = MellinMethod.CLOSED_FORM,
-    cfg: PeriodSumConfig = PeriodSumConfig(),
-) -> EvalResult:
+    base = KernelId.P if kernel is KernelId.PTILDE else kernel
+    # The tables are built per call so that each function is looked up by its
+    # module-global name, which tracing and tests may rebind.
     if method is MellinMethod.CLOSED_FORM:
-        v = e_closed(alpha)
-        return EvalResult(value=v, abs_err=1e-13 * max(1.0, abs(v)), work=1)
-    if method is MellinMethod.PERIOD_SUM:
-        return e_quad(alpha, cfg)
-    raise DomainError(f"method {method} not available for E")
-
-
-def f_val(
-    alpha: complex,
-    method: MellinMethod = MellinMethod.CLOSED_FORM,
-    cfg: PeriodSumConfig = PeriodSumConfig(),
-) -> EvalResult:
-    if method is MellinMethod.CLOSED_FORM:
-        v = f_closed(alpha)
-        return EvalResult(value=v, abs_err=1e-13 * max(1.0, abs(v)), work=1)
-    if method is MellinMethod.PERIOD_SUM:
-        return f_quad(alpha, cfg)
-    raise DomainError(f"method {method} not available for F")
+        v = {KernelId.P: d_closed, KernelId.Q: e_closed, KernelId.ALT: f_closed}[base](alpha)
+        r = EvalResult(value=v, abs_err=1e-13 * max(1.0, abs(v)), work=1)
+    elif method is MellinMethod.PERIOD_SUM:
+        r = {KernelId.P: d_quad, KernelId.Q: e_quad, KernelId.ALT: f_quad}[base](alpha, cfg)
+    elif method is MellinMethod.GAMMA_SERIES and base is KernelId.P:
+        r = d_gamma_series(alpha)
+    else:
+        raise DomainError(f"method {method} not available for kernel {kernel}")
+    if kernel is KernelId.PTILDE:
+        r = EvalResult(value=r.value - PI2_12 / (alpha + 1.0), abs_err=r.abs_err, work=r.work)
+    return r
 
 
 # --- binomial/zeta series for the tail piece above 2*pi ----------------------

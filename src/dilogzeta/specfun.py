@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, EvalResult, PoleError, cpow, kahan_csum
+from .core import DomainError, EvalResult, PoleError, cpow, kahan_sum
 
 _ETA_ORDER = 50
 _ETA_DENOM_GUARD = 1e-12
@@ -28,7 +28,7 @@ def zeta_partial(s: complex, n_terms: int) -> complex:
     s = complex(s)
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     terms = np.exp(-s * np.log(n))
-    return kahan_csum(terms.tolist())
+    return kahan_sum(terms.tolist())
 
 
 def eta_accel(s: complex, order: int = _ETA_ORDER) -> tuple[complex, float]:
@@ -132,6 +132,21 @@ _U_MAX = 40.0
 _N_PANELS = 40
 
 
+def _composite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on each of the
+    _N_PANELS panels of [0, _U_MAX], built once for both incomplete-gamma
+    quadratures."""
+    edges = np.linspace(0.0, _U_MAX, _N_PANELS + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return u, w
+
+
+_GL_U, _GL_W = _composite_rule()
+
+
 def inc_gamma(lam: complex, z: complex) -> EvalResult:
     """Upper incomplete gamma Gamma(lam, z) on the principal branch, z != 0.
 
@@ -151,11 +166,7 @@ def inc_gamma(lam: complex, z: complex) -> EvalResult:
         return EvalResult(value=complex(sp.gamma(lam)), abs_err=1e-14, work=1)
     if z.real < 0.0 and z.imag == 0.0:
         raise DomainError("inc_gamma: ray from the negative real axis crosses the branch cut")
-    edges = np.linspace(0.0, _U_MAX, _N_PANELS + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    u, w = _GL_U, _GL_W
     t = z + u
     vals = np.exp((lam - 1.0) * np.log(t.astype(np.complex128)) - u)
     integral = complex(np.sum(w * vals))
@@ -176,11 +187,7 @@ def inc_gamma_many(lam: complex, z: np.ndarray) -> np.ndarray:
         raise DomainError("inc_gamma_many: z must be nonzero")
     if np.any((z.real < 0.0) & (z.imag == 0.0)):
         raise DomainError("inc_gamma_many: ray from the negative real axis crosses the branch cut")
-    edges = np.linspace(0.0, _U_MAX, _N_PANELS + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    u, w = _GL_U, _GL_W
     t = z[:, None] + u[None, :]
     vals = np.exp((lam - 1.0) * np.log(t) - u[None, :])
     integral = vals @ w.astype(np.complex128)

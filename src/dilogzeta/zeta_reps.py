@@ -13,13 +13,8 @@ import math
 from dataclasses import replace
 
 from .core import DomainError, EvalResult, PoleError, cpow
-from .mellin import (
-    MellinMethod,
-    PeriodSumConfig,
-    _dispatch_d,
-    e_val,
-    f_val,
-)
+from .kernels import KernelId
+from .mellin import MellinMethod, PeriodSumConfig, kernel_integral
 
 _S_MIN = 1e-6
 
@@ -55,7 +50,7 @@ def zeta_via_d(
     s = _check_s(s)
     pref = 2.0 * cpow(math.pi * 2.0, s - 1.0)
     scale = abs(pref) * abs(s * (1.0 + s))
-    d = _dispatch_d(-2.0 - s, d_method, _integral_cfg(cfg, scale))
+    d = kernel_integral(KernelId.P, -2.0 - s, d_method, _integral_cfg(cfg, scale))
     bracket = (
         s * math.pi ** 2 / 6.0
         - math.pi * (1.0 + s) / 2.0
@@ -74,7 +69,7 @@ def zeta_via_e(
     s = _check_s(s)
     pref = 2.0 * cpow(math.pi * 2.0, s - 1.0)
     scale = abs(pref) * abs(s)
-    e = e_val(-1.0 - s, method, _integral_cfg(cfg, scale))
+    e = kernel_integral(KernelId.Q, -1.0 - s, method, _integral_cfg(cfg, scale))
     bracket = -math.pi / 2.0 - s / (2.0 * (1.0 - s)) - s * e.value
     return EvalResult(value=pref * bracket, abs_err=scale * e.abs_err + 1e-14, work=e.work)
 
@@ -91,7 +86,7 @@ def zeta_via_f(
         raise PoleError(f"denominator 1 - 2^(1-s) vanishes at s = {s}")
     pref = 0.5 * cpow(math.pi * 2.0, s) / denom
     scale = abs(pref) * abs(s)
-    f = f_val(-1.0 - s, method, _integral_cfg(cfg, scale))
+    f = kernel_integral(KernelId.ALT, -1.0 - s, method, _integral_cfg(cfg, scale))
     value = pref * (1.0 - s * f.value)
     return EvalResult(value=value, abs_err=scale * f.abs_err + 1e-14, work=f.work)
 
@@ -99,7 +94,7 @@ def zeta_via_f(
 def alternating_series_identity(s: complex, method: MellinMethod = MellinMethod.CLOSED_FORM) -> complex:
     """(s/2) (2 pi)^s [1/s - F(-1-s)]; equals the Dirichlet eta sum eta(s)."""
     s = _check_s(s)
-    f = f_val(-1.0 - s, method)
+    f = kernel_integral(KernelId.ALT, -1.0 - s, method)
     return (s / 2.0) * cpow(math.pi * 2.0, s) * (1.0 / s - f.value)
 
 

@@ -15,7 +15,6 @@ from dilogzeta.cli import (
     RunConfig,
     format_complex,
     parse_complex,
-    worker_count,
 )
 
 
@@ -101,12 +100,6 @@ class TestRunConfig:
         code, _, err = run_cli(capsys, "eval", "--s", "2+0i", "--method", "ref")
         assert code == EXIT_USAGE
         assert "no_such_key" in err
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("DILOG_ZETA_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("DILOG_ZETA_THREADS", "0")
-        assert worker_count() >= 1
 
 
 class TestEval:
@@ -195,6 +188,27 @@ class TestMellinCommand:
             values[method] = json.loads(out)["value_re"]
         assert values["closed"] == pytest.approx(values["period"], abs=1e-8)
         assert values["closed"] == pytest.approx(values["gamma"], abs=1e-5)
+
+    @pytest.mark.parametrize("kernel,alpha", [("ptilde", "-2.5+3i"), ("q", "-1.5+7i"), ("f", "-1.3-20i")])
+    def test_period_matches_closed(self, capsys, kernel, alpha):
+        reports = {}
+        for method in ("closed", "period"):
+            code, out, _ = run_cli(capsys, "mellin", "--kernel", kernel, "--alpha", alpha, "--method", method)
+            assert code == EXIT_OK
+            reports[method] = json.loads(out)
+        closed, period = (complex(reports[m]["value_re"], reports[m]["value_im"]) for m in ("closed", "period"))
+        assert abs(closed - period) <= reports["closed"]["abs_err"] + reports["period"]["abs_err"]
+        assert reports["period"]["abs_err"] <= 1e-8  # the default --tolerance
+
+    @pytest.mark.parametrize("method", ["closed", "period"])
+    def test_ptilde_is_shifted_p(self, capsys, method):
+        values = {}
+        for kernel in ("p", "ptilde"):
+            code, out, _ = run_cli(capsys, "mellin", "--kernel", kernel, "--alpha", "-2.5+3i", "--method", method)
+            assert code == EXIT_OK
+            report = json.loads(out)
+            values[kernel] = complex(report["value_re"], report["value_im"])
+        assert values["ptilde"] == values["p"] - (math.pi ** 2 / 12.0) / (-1.5 + 3.0j)
 
 
 class TestCertifyAndBounds:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dilogzeta import (
     TWO_PI,
     DomainError,
+    EvalResult,
     KernelId,
     MellinMethod,
     PeriodSumConfig,
@@ -24,11 +25,9 @@ from dilogzeta import (
     d_gamma_series,
     d_n_closed,
     d_quad,
-    d_tilde,
-    e_val,
-    f_val,
     i_alpha,
     kernel_eval,
+    kernel_integral,
     mellin_numeric,
 )
 from dilogzeta import mellin
@@ -145,9 +144,31 @@ class TestDPaths:
             return d_closed(alpha)
 
         monkeypatch.setattr(mellin, "d_closed", counting)
-        r = mellin._dispatch_d(-4.0, MellinMethod.CLOSED_FORM, CFG)
+        r = kernel_integral(KernelId.P, -4.0, MellinMethod.CLOSED_FORM, CFG)
         assert len(calls) == 1
         assert r.value == d_closed(-4.0)
+
+    @pytest.mark.parametrize("kernel,name,method", [
+        (KernelId.Q, "e_closed", MellinMethod.CLOSED_FORM),
+        (KernelId.ALT, "f_closed", MellinMethod.CLOSED_FORM),
+        (KernelId.PTILDE, "d_quad", MellinMethod.PERIOD_SUM),
+        (KernelId.Q, "e_quad", MellinMethod.PERIOD_SUM),
+        (KernelId.ALT, "f_quad", MellinMethod.PERIOD_SUM),
+        (KernelId.P, "d_gamma_series", MellinMethod.GAMMA_SERIES),
+    ])
+    def test_dispatch_looks_up_module_globals(self, monkeypatch, kernel, name, method):
+        # Tracing rebinds these names in the module, so the dispatcher must
+        # find them there at call time.
+        original = getattr(mellin, name)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mellin, name, counting)
+        kernel_integral(kernel, -2.5 + 1.0j, method, PeriodSumConfig(n_periods=50))
+        assert len(calls) == 1
 
     def test_pole_guards(self):
         for bad in (-2.0, -3.0):
@@ -165,12 +186,12 @@ class TestDPaths:
 class TestEAndF:
     @pytest.mark.parametrize("alpha", [-2.5, -3.0 - 5.0j])
     def test_e_paths_agree(self, alpha):
-        q = e_val(alpha, MellinMethod.PERIOD_SUM, CFG)
+        q = kernel_integral(KernelId.Q, alpha, MellinMethod.PERIOD_SUM, CFG)
         assert abs(e_closed(alpha) - q.value) <= max(1e-8, q.abs_err)
 
     @pytest.mark.parametrize("alpha", [-1.5, -1.2 - 3.0j])
     def test_f_paths_agree(self, alpha):
-        q = f_val(alpha, MellinMethod.PERIOD_SUM, CFG)
+        q = kernel_integral(KernelId.ALT, alpha, MellinMethod.PERIOD_SUM, CFG)
         assert abs(f_closed(alpha) - q.value) <= max(1e-8, q.abs_err)
 
     def test_e_quadrature_oracle(self):
@@ -190,21 +211,21 @@ class TestEAndF:
 
     def test_gamma_series_unavailable_for_e_f(self):
         with pytest.raises(DomainError):
-            e_val(-2.5, MellinMethod.GAMMA_SERIES)
+            kernel_integral(KernelId.Q, -2.5, MellinMethod.GAMMA_SERIES)
         with pytest.raises(DomainError):
-            f_val(-1.5, MellinMethod.GAMMA_SERIES)
+            kernel_integral(KernelId.ALT, -1.5, MellinMethod.GAMMA_SERIES)
 
 
 class TestDTilde:
     def test_shift_identity(self):
         want = d_closed(-4.0) + math.pi ** 2 / 36.0
-        assert d_tilde(-4.0).value == pytest.approx(want, abs=1e-14)
+        assert kernel_integral(KernelId.PTILDE, -4.0).value == pytest.approx(want, abs=1e-14)
 
     def test_section_4_relation(self):
-        # (1+s) d_tilde(-2-s) = (1-pi)^2/4 + E(-1-s)
+        # (1+s) D~(-2-s) = (1-pi)^2/4 + E(-1-s), with D~ the PTILDE integral
         s = 0.7
-        lhs = (1.0 + s) * d_tilde(-2.0 - s).value
-        rhs = (1.0 - math.pi) ** 2 / 4.0 + e_val(-1.0 - s).value
+        lhs = (1.0 + s) * kernel_integral(KernelId.PTILDE, -2.0 - s).value
+        rhs = (1.0 - math.pi) ** 2 / 4.0 + kernel_integral(KernelId.Q, -1.0 - s).value
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -288,6 +309,31 @@ class TestToleranceDrivenN:
             assert abs(r.value - value) <= 1e-14 * abs(value)
             assert r.abs_err == pytest.approx(abs_err, rel=1e-14)
             assert r == fn(alpha, PeriodSumConfig(n_periods=100_000, tolerance=None))
+
+    @pytest.mark.parametrize("fn,alpha,pins", [
+        (d_quad, -2.5 - 14.0j, (
+            EvalResult(0.007645478422151777 - 0.022590828516038098j, 7.100489231226121e-12, 800),
+            EvalResult(0.007645476673148964 - 0.022590827210228467j, 4.506401804308588e-09, 5),
+            EvalResult(0.007645478422151522 - 0.02259082851603831j, 5.209010285333109e-12, 11382),
+        )),
+        (e_quad, -1.5 + 7.0j, (
+            EvalResult(-0.04882009314130188 - 0.34586919666758j, 1.4283161570930822e-08, 800),
+            EvalResult(-0.0488200940721954 - 0.3458691974071678j, 3.1581643350570434e-09, 5),
+            EvalResult(-0.04882009313575735 - 0.34586919666439575j, 1.5763154478039425e-08, 100_000),
+        )),
+        (f_quad, -1.3 - 20.0j, (
+            EvalResult(-0.09120906661135195 + 0.03608036264842376j, 2.8845836971353456e-06, 800),
+            EvalResult(-0.09120906403515519 + 0.03608035900986899j, 4.183730463861785e-09, 14),
+            EvalResult(-0.09120906519951426 + 0.03608036052879286j, 1.4044885824552698e-06, 100_000),
+        )),
+    ])
+    def test_exact_results(self, fn, alpha, pins):
+        # Results of the separate d/e/f implementations that the shared
+        # period-sum engine replaced; it must reproduce them bit for bit.
+        cfgs = (PeriodSumConfig(n_periods=800), PeriodSumConfig(tolerance=1e-8),
+                PeriodSumConfig(tolerance=1e-11, tail_order=1))
+        for cfg, pin in zip(cfgs, pins):
+            assert fn(alpha, cfg) == pin
 
     def test_grid_prefix_matches_fresh_grid(self):
         _period_grids(150_000)
