@@ -21,12 +21,12 @@ import numpy as np
 
 from dilogzeta import (
     MellinMethod,
+    PeriodSumConfig,
     zeta_ref,
     zeta_via_d,
     zeta_via_e,
     zeta_via_f,
 )
-from dilogzeta.cli import RunConfig
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def run(cfg: GridConfig) -> None:
     rng = np.random.RandomState(cfg.seed)
     re_vals = rng.uniform(cfg.re_min, cfg.re_max, cfg.points)
     im_vals = rng.uniform(-cfg.im_abs, cfg.im_abs, cfg.points)
-    ps = RunConfig(tolerance=cfg.tolerance, n_periods=cfg.n_periods).period_cfg()
+    ps = PeriodSumConfig(n_periods=cfg.n_periods, tolerance=cfg.tolerance)
     worst = {"d": 0.0, "e": 0.0, "f": 0.0}
     worst_closed = {"d": 0.0, "e": 0.0, "f": 0.0}
     t0 = time.perf_counter()

@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from dilogzeta import scan_line
-from dilogzeta.cli import RunConfig
+from dilogzeta import PeriodSumConfig, scan_line
 
 
 def main() -> None:
@@ -26,7 +25,7 @@ def main() -> None:
     ap.add_argument("--tolerance", type=float, default=1e-8)
     ap.add_argument("--n-periods", type=int, default=None)
     args = ap.parse_args()
-    cfg = RunConfig(tolerance=args.tolerance, n_periods=args.n_periods).period_cfg()
+    cfg = PeriodSumConfig(n_periods=args.n_periods, tolerance=args.tolerance)
     for u in (0.5, 0.3):
         t0 = time.perf_counter()
         report = scan_line(u, args.v_min, args.v_max, args.step, cfg=cfg)

@@ -39,7 +39,6 @@ from .muntz import (
     mellin_numeric,
     muntz_lhs_rhs,
     poisson_check,
-    sampled,
     theta,
     theta_check,
     triangle,
@@ -47,9 +46,7 @@ from .muntz import (
 )
 from .specfun import (
     a_n_approx,
-    binom_complex,
     inc_gamma,
-    pochhammer,
     zeta_partial,
     zeta_ref,
 )
@@ -92,7 +89,6 @@ __all__ = [
     "a_tilde_j",
     "a_tilde_series",
     "b_bound",
-    "binom_complex",
     "c_bracket",
     "c_of_u",
     "certify",
@@ -111,10 +107,8 @@ __all__ = [
     "mellin_fourier_phi",
     "mellin_numeric",
     "muntz_lhs_rhs",
-    "pochhammer",
     "poisson_check",
     "reduce_period",
-    "sampled",
     "scan_line",
     "theta",
     "theta_check",

@@ -53,10 +53,9 @@ _COMPLEX_RE = re.compile(
 class RunConfig:
     """Run-wide knobs shared by all subcommands.
 
-    ``n_periods`` None lets the period sums choose N from ``tolerance``,
-    capped at PeriodSumConfig's default; a number pins N exactly.
-    ``tail_order`` None lets them choose the tail order K together with N
-    (order 2 when N is pinned); 0, 1 or 2 pins K.
+    ``n_periods`` and ``tail_order`` go to PeriodSumConfig as they are: None
+    lets the period sums choose N (up to N_MAX) and K from ``tolerance``; a
+    number pins it.  The CLI takes tail orders 0, 1 and 2 only.
     """
 
     tolerance: float = 1e-8
@@ -68,17 +67,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (1e-14 <= self.tolerance <= 1e-2):
             raise ValueError("tolerance must lie in [1e-14, 1e-2]")
-        if self.n_periods is not None and self.n_periods < 2:
-            raise ValueError("n_periods must be >= 2")
         if self.tail_order not in (None, 0, 1, 2):
             raise ValueError("tail_order must be 0, 1 or 2")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError("output_format must be json, csv or text")
+        self.period_cfg()  # PeriodSumConfig checks n_periods
 
     def period_cfg(self) -> PeriodSumConfig:
-        if self.n_periods is None:
-            return PeriodSumConfig(tail_order=self.tail_order, tolerance=self.tolerance)
-        return PeriodSumConfig(n_periods=self.n_periods, tail_order=self.tail_order)
+        return PeriodSumConfig(self.n_periods, self.tail_order, self.tolerance)
 
 
 def parse_complex(text: str) -> complex:
@@ -369,12 +365,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--n-periods", dest="n_periods", type=int, default=None)
-    p.add_argument("--tail-order", dest="tail_order", type=int, default=None)
-    p.add_argument("--output-format", dest="output_format",
-                   choices=("json", "csv", "text"), default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for key, kind in _CONFIG_KEYS.items():  # RunConfig validates the values
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
 
 
 def make_parser() -> _Parser:

@@ -39,6 +39,7 @@ ZETA4 = math.pi ** 4 / 90.0
 POLE_GUARD = 1e-9
 _EPS = 2.0 ** -52
 K_MAX = 40  # the highest integration-by-parts order of the period-sum tails
+N_MAX = 100_000  # the most periods a chosen N may reach
 
 # The fundamental-domain quadratic p(theta) = pi^2/6 - (pi/2) theta + theta^2/4
 # has zero mean over a period; the tail acceleration below relies on it.
@@ -53,26 +54,26 @@ class MellinMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class PeriodSumConfig:
-    """Truncation control for the direct per-period evaluations.
+    """Truncation control for the direct per-period evaluations: N, the number
+    of 2*pi periods summed before the tail, and K, the number of
+    integration-by-parts passes applied to the tail (0 = crude bound only;
+    each pass adds an exact boundary correction and lowers the bound by a
+    factor of about |alpha|/(2 pi N)).
 
-    ``n_periods`` is the number of 2*pi periods N summed before the tail;
-    ``tail_order`` is the number K of integration-by-parts passes applied to
-    the tail (0 = crude bound only; each pass adds an exact boundary
-    correction and lowers the bound by a factor of about |alpha|/(2 pi N)).
-
-    With a ``tolerance`` the sums choose N and K together: the smallest N that
-    some K <= K_MAX brings under tolerance/2, then the smallest K that does;
-    ``n_periods`` caps N, and a set ``tail_order`` pins K.  Without one, N is
-    ``n_periods`` exactly and K is ``tail_order``, or 2 if unset.  The
-    results' ``work`` is the N summed.
+    An int ``n_periods`` pins N, with K = ``tail_order``, or 2 if unset; the
+    tolerance then changes nothing.  With ``n_periods`` None and a
+    ``tolerance``, the sums choose the smallest N <= N_MAX that some
+    K <= K_MAX brings under tolerance/2, then the smallest K that does; a set
+    ``tail_order`` pins K and only N is chosen.  With no tolerance (or 0), N is
+    N_MAX and K as when N is pinned.  The results' ``work`` is the N summed.
     """
 
-    n_periods: int = 100_000
+    n_periods: int | None = None
     tail_order: int | None = None
     tolerance: float | None = None
 
     def __post_init__(self):
-        if self.n_periods < 2:
+        if self.n_periods is not None and self.n_periods < 2:
             raise DomainError("PeriodSumConfig: n_periods must be >= 2")
         if self.tail_order is not None and self.tail_order not in range(K_MAX + 1):
             raise DomainError(f"PeriodSumConfig: tail_order must be in 0..{K_MAX}")
@@ -260,6 +261,7 @@ _TAIL_Q = _TailData(tuple(_M_Q), _quarter_turns(_M_Q, 1))
 _TAIL_F = _TailData(tuple(_M_F), _quarter_turns(_M_F, 3), parity=-1.0)
 _ORDERS = np.arange(K_MAX + 1.0)
 _LOG_TWO_PI = math.log(TWO_PI)
+_LOG_N_MAX = math.log(N_MAX)
 
 
 def _tail_coef(alpha: complex, order: int, data: _TailData) -> float:
@@ -297,30 +299,30 @@ def _tail(alpha: complex, n: int, order: int, data: _TailData) -> tuple[complex,
     return corr, _tail_err(alpha, t, order, data), rnd
 
 
-def _n_periods(alpha: complex, half: float, cap: int, order: int, data: _TailData) -> int:
+def _n_periods(alpha: complex, half: float, order: int, data: _TailData) -> int:
     """The smallest N whose order-``order`` tail bound is at most ``half``, at
-    most ``cap``: min(cap, max(2, ceil(T / 2 pi))) with T inverting c T**e = half."""
+    most N_MAX: min(N_MAX, max(2, ceil(T / 2 pi))) with T inverting c T**e = half."""
     c = _tail_coef(alpha, order, data)
     e = alpha.real + (1 - order)
     log_n = (math.log(half) - math.log(c / abs(e))) / e - _LOG_TWO_PI
-    if log_n >= math.log(cap):
-        return cap
+    if log_n >= _LOG_N_MAX:
+        return N_MAX
     n = max(2, math.ceil(math.exp(log_n)))
     # Guard the closed-form inversion against rounding in log/exp.
-    while n < cap and c * (TWO_PI * n) ** e / abs(e) > half:
+    while n < N_MAX and c * (TWO_PI * n) ** e / abs(e) > half:
         n += 1
     return n
 
 
-def _best_order(alpha: complex, half: float, cap: int, data: _TailData) -> int:
+def _best_order(alpha: complex, half: float, data: _TailData) -> int:
     """The lowest order whose tail bound reaches ``half`` at the fewest
-    periods, or, if none does within ``cap``, the order with the smallest
-    bound at ``cap``.  Inverts the bounds of all orders at once, in logs."""
+    periods, or, if none does within N_MAX, the order with the smallest
+    bound at N_MAX.  Inverts the bounds of all orders at once, in logs."""
     neg_e = _ORDERS - (alpha.real + 1.0)  # -(exponent of T), > 0
     log_step = np.log(np.abs(alpha - _ORDERS))  # log |alpha - j|, summed below
     log_c = np.cumsum(log_step) - log_step + data.log_m - np.log(neg_e)
     log_t = (log_c - math.log(half)) / neg_e  # log T at which each bound is half
-    log_t_cap = _LOG_TWO_PI + math.log(cap)
+    log_t_cap = _LOG_TWO_PI + _LOG_N_MAX
     lowest = float(log_t.min())
     if lowest >= log_t_cap:
         return int(np.argmin(log_c - neg_e * log_t_cap))
@@ -329,20 +331,16 @@ def _best_order(alpha: complex, half: float, cap: int, data: _TailData) -> int:
 
 
 def _choose_tail(alpha: complex, cfg: PeriodSumConfig, data: _TailData) -> tuple[int, int]:
-    """(N, K): the periods to sum and the tail order.
-
-    Without a tolerance, N = cfg.n_periods and K = cfg.tail_order (2 if
-    unset).  With one, the smallest N that some K <= K_MAX brings under
-    tolerance/2, then the smallest such K; a set tail_order pins K and only N
-    is chosen.  N is capped at cfg.n_periods and is not raised to shrink the
-    rounding bound, which grows with N."""
-    cap, order = cfg.n_periods, cfg.tail_order
-    if not cfg.tolerance:  # None, or 0: no N meets it
-        return cap, 2 if order is None else order
+    """(N, K): the periods to sum and the tail order, chosen as
+    PeriodSumConfig describes.  N is not raised to shrink the rounding bound,
+    which grows with N."""
+    n, order = cfg.n_periods, cfg.tail_order
+    if n is not None or not cfg.tolerance:  # a tolerance of 0: no N meets it
+        return N_MAX if n is None else n, 2 if order is None else order
     half = 0.5 * cfg.tolerance
     if order is None:
-        order = _best_order(alpha, half, cap, data)
-    return _n_periods(alpha, half, cap, order, data), order
+        order = _best_order(alpha, half, data)
+    return _n_periods(alpha, half, order, data), order
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import scipy.integrate as integrate
 import scipy.special as sp
 
 from .core import DomainError, EvalResult, cpow, kahan_sum
-from .kernels import PI2_6, TWO_PI, KernelId, kernel_eval
+from .kernels import TWO_PI, KernelId, kernel_eval
 from .mellin import _TAIL_P, _tail, d_closed, i_alpha
 from .specfun import inc_gamma, zeta_ref
 
@@ -150,51 +150,6 @@ def gaussian() -> TestFunction:
         fourier_theta_tail=_gaussian_theta_tail,
         support=11.0,  # e^{-pi x^2} < 1e-160 beyond this
         fourier_support=11.0,
-    )
-
-
-def sampled(path: str, decay_c: float, decay_delta: float) -> TestFunction:
-    """Even test function from a two-column CSV (x, f(x)) on a uniform grid,
-    extended by zero beyond the last sample; Fourier transform by trapezoid.
-    The decay constants are recorded as declared, not verified."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise DomainError("sampled: expected two columns (x, f)")
-    x, f = data[:, 0], data[:, 1]
-    if x[0] != 0.0:
-        raise DomainError("sampled: grid must start at x = 0")
-    dx = np.diff(x)
-    if not np.allclose(dx, dx[0], rtol=1e-9):
-        raise DomainError("sampled: grid must be uniform")
-
-    def ev(t: float) -> float:
-        return float(np.interp(abs(t), x, f, right=0.0))
-
-    def fo(y: float) -> float:
-        return float(2.0 * np.trapezoid(f * np.cos(TWO_PI * x * y), x))
-
-    half = float(np.trapezoid(f, x))
-
-    def tail(w: complex, x_cut: int) -> tuple[complex, float]:
-        u = w.real
-        if u + decay_delta <= 0.0:
-            raise DomainError("sampled: tail exponent outside declared decay")
-        return 0.0 + 0.0j, decay_c * 2.0 * x_cut ** (u - decay_delta) / decay_delta
-
-    return TestFunction(
-        name="sampled",
-        eval_fn=ev,
-        fourier_fn=fo,
-        f_at_zero=float(f[0]),
-        fourier_at_zero=2.0 * half,
-        half_integral=half,
-        fourier_half_integral=float(f[0]) / 2.0,
-        decay_c=decay_c,
-        decay_delta=decay_delta,
-        theta_tail=tail,
-        fourier_theta_tail=tail,
-        support=float(x[-1]),
-        fourier_support=None,
     )
 
 
@@ -354,24 +309,23 @@ def corollary_5_5_residual(f: TestFunction, x: float, n_terms: int = 20000) -> f
     return t1 - 0.5 * (f.fourier_at_zero / x - f.f_at_zero) - t2 / x
 
 
+def _theta_upper(f: TestFunction, w: complex, x_cut: int, n_terms: int) -> tuple[complex, float]:
+    """int_1^oo x^w Theta(f)(x) dx: quadrature on [1, x_cut] plus f's
+    analytic tail.  Returns (value, error)."""
+    body, err = _cquad(
+        lambda x: cpow(x, w) * theta(f, x, n_terms).value.real,
+        1.0, float(x_cut), epsabs=1e-11, epsrel=1e-11, limit=400,
+    )
+    tail, tail_err = f.theta_tail(w, x_cut)
+    return body + tail, err + tail_err
+
+
 def i_of(f: TestFunction, s: complex, x_cut: int = 40, n_terms: int = 20000) -> EvalResult:
-    """I(f)(s) = int_1^oo x^{s-1} Theta(f) dx + int_1^oo x^{-s} Theta(F(f)) dx,
-    each as quadrature on [1, x_cut] plus the analytic tail."""
+    """I(f)(s) = int_1^oo x^{s-1} Theta(f) dx + int_1^oo x^{-s} Theta(F(f)) dx."""
     s = complex(s)
-    ff = f.flipped()
-    part1, e1 = _cquad(
-        lambda x: cpow(x, s - 1.0) * theta(f, x, n_terms).value.real,
-        1.0, float(x_cut), epsabs=1e-11, epsrel=1e-11, limit=400,
-    )
-    t1, te1 = f.theta_tail(s - 1.0, x_cut)
-    part2, e2 = _cquad(
-        lambda x: cpow(x, -s) * theta(ff, x, n_terms).value.real,
-        1.0, float(x_cut), epsabs=1e-11, epsrel=1e-11, limit=400,
-    )
-    t2, te2 = f.fourier_theta_tail(-s, x_cut)
-    return EvalResult(
-        value=part1 + t1 + part2 + t2, abs_err=e1 + e2 + te1 + te2 + 1e-12, work=2
-    )
+    part1, e1 = _theta_upper(f, s - 1.0, x_cut, n_terms)
+    part2, e2 = _theta_upper(f.flipped(), -s, x_cut, n_terms)
+    return EvalResult(value=part1 + part2, abs_err=e1 + e2 + 1e-12, work=2)
 
 
 def muntz_lhs_rhs(
@@ -395,13 +349,9 @@ def mellin_theta_check(
     s = complex(s)
     if not (0.0 < s.real < 1.0):
         raise DomainError("mellin_theta_check: need 0 < Re s < 1")
-    upper, e1 = _cquad(
-        lambda x: cpow(x, s - 1.0) * theta(f, x, n_terms).value.real,
-        1.0, float(x_cut), epsabs=1e-11, epsrel=1e-11, limit=400,
-    )
-    t1, te1 = f.theta_tail(s - 1.0, x_cut)
+    upper, e1 = _theta_upper(f, s - 1.0, x_cut, n_terms)
     # minus I int_1^oo x^{s-2} dx = I/(s-1) with I = int_0^oo f
-    upper_total = upper + t1 + f.half_integral / (s - 1.0)
+    upper_total = upper + f.half_integral / (s - 1.0)
     # Theta(f)(1/x) has corners at integer x (the cutoff count jumps there),
     # so hand the quadrature the breakpoints explicitly.
     lower, e2 = _cquad(
@@ -414,7 +364,7 @@ def mellin_theta_check(
     tail_const = -(f.f_at_zero / 2.0) * cpow(float(x_cut), -s) / s
     t2, te2 = f.fourier_theta_tail(-s, x_cut)
     value = upper_total + lower + tail_const + t2
-    return EvalResult(value=value, abs_err=e1 + e2 + te1 + te2 + 1e-12, work=2)
+    return EvalResult(value=value, abs_err=e1 + e2 + te2 + 1e-12, work=2)
 
 
 # --- incomplete Mellin transform and the summation formula -------------------

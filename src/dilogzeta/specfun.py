@@ -1,6 +1,6 @@
 """Reference special functions: zeta via the accelerated alternating series,
-partial sums and their endpoint-corrected variant, upper incomplete gamma for
-complex arguments, and binomial/Pochhammer helpers.
+partial sums and their endpoint-corrected variant, and upper incomplete gamma
+for complex arguments.
 
 Everything here is independent of the kernel integrals, so it can serve as the
 reference side of the cross-checks elsewhere in the package.
@@ -12,6 +12,7 @@ import cmath
 import math
 
 import numpy as np
+import scipy.special as sp
 
 from .core import DomainError, EvalResult, PoleError, cpow, kahan_sum
 
@@ -134,8 +135,7 @@ _N_PANELS = 40
 
 def _composite_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 16-point Gauss-Legendre rule on each of the
-    _N_PANELS panels of [0, _U_MAX], built once for both incomplete-gamma
-    quadratures."""
+    _N_PANELS panels of [0, _U_MAX], built once."""
     edges = np.linspace(0.0, _U_MAX, _N_PANELS + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -147,39 +147,14 @@ def _composite_rule() -> tuple[np.ndarray, np.ndarray]:
 _GL_U, _GL_W = _composite_rule()
 
 
-def inc_gamma(lam: complex, z: complex) -> EvalResult:
-    """Upper incomplete gamma Gamma(lam, z) on the principal branch, z != 0.
+def inc_gamma_many(lam: complex, z: np.ndarray) -> np.ndarray:
+    """Upper incomplete gamma Gamma(lam, z) on the principal branch, over an
+    array of nonzero z.
 
     Rotates the integration ray to the positive real direction (t = z + u,
     u >= 0) and applies composite Gauss-Legendre quadrature truncated at
-    u = 40; valid whenever the ray z + [0, inf) avoids the branch cut, which
-    holds for Re z >= 0 or Im z != 0.
-    """
-    lam = complex(lam)
-    z = complex(z)
-    if z == 0:
-        if lam.real <= 0.0:
-            raise DomainError("inc_gamma: singular at z = 0 for Re lam <= 0")
-        # Gamma(lam, 0) = Gamma(lam)
-        import scipy.special as sp
-
-        return EvalResult(value=complex(sp.gamma(lam)), abs_err=1e-14, work=1)
-    if z.real < 0.0 and z.imag == 0.0:
-        raise DomainError("inc_gamma: ray from the negative real axis crosses the branch cut")
-    u, w = _GL_U, _GL_W
-    t = z + u
-    vals = np.exp((lam - 1.0) * np.log(t.astype(np.complex128)) - u)
-    integral = complex(np.sum(w * vals))
-    value = cmath.exp(-z) * integral
-    trunc = abs(cmath.exp(-z - _U_MAX)) * abs(cpow(z + _U_MAX, lam - 1.0)) * 2.0
-    return EvalResult(value=value, abs_err=trunc + 1e-14 * abs(value), work=u.size)
-
-
-def inc_gamma_many(lam: complex, z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`inc_gamma` over an array of z values (same method).
-
-    All entries must avoid the branch cut of the rotated ray, i.e. have
-    nonzero imaginary part or nonnegative real part, and be nonzero.
+    u = 40; valid whenever the ray z + [0, inf) avoids the branch cut, i.e.
+    for nonzero imaginary part or nonnegative real part.
     """
     lam = complex(lam)
     z = np.asarray(z, dtype=np.complex128)
@@ -194,24 +169,15 @@ def inc_gamma_many(lam: complex, z: np.ndarray) -> np.ndarray:
     return np.exp(-z) * integral
 
 
-def binom_complex(alpha: complex, l: int) -> complex:
-    """Generalized binomial coefficient C(alpha, l) by the stable multiplicative
-    recurrence; no gamma evaluations."""
-    if l < 0:
-        raise DomainError("binom_complex: l must be >= 0")
-    alpha = complex(alpha)
-    out = 1.0 + 0.0j
-    for k in range(1, l + 1):
-        out *= (alpha - k + 1.0) / k
-    return out
-
-
-def pochhammer(rho: complex, j: int) -> complex:
-    """Rising factorial (rho)_j = rho (rho+1) ... (rho+j-1), with (rho)_0 = 1."""
-    if j < 0:
-        raise DomainError("pochhammer: j must be >= 0")
-    rho = complex(rho)
-    out = 1.0 + 0.0j
-    for k in range(j):
-        out *= rho + k
-    return out
+def inc_gamma(lam: complex, z: complex) -> EvalResult:
+    """Gamma(lam, z) for one z by :func:`inc_gamma_many`, with the bound on
+    the truncation of the ray at u = 40; Gamma(lam) at z = 0."""
+    lam = complex(lam)
+    z = complex(z)
+    if z == 0:
+        if lam.real <= 0.0:
+            raise DomainError("inc_gamma: singular at z = 0 for Re lam <= 0")
+        return EvalResult(value=complex(sp.gamma(lam)), abs_err=1e-14, work=1)
+    value = complex(inc_gamma_many(lam, np.array([z]))[0])
+    trunc = abs(cmath.exp(-z - _U_MAX)) * abs(cpow(z + _U_MAX, lam - 1.0)) * 2.0
+    return EvalResult(value=value, abs_err=trunc + 1e-14 * abs(value), work=_GL_U.size)

@@ -14,11 +14,11 @@ sufficient zero-free inequality into a checkable verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EvalResult, cpow
+from .core import DomainError, EvalResult
 from .kernels import PI2_6, ROOT_HI, ROOT_LO, TWO_PI
 from .mellin import PeriodSumConfig, d_quad
 

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from dilogzeta import cli
+from dilogzeta import PeriodSumConfig, cli, d_quad
 from dilogzeta.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -57,6 +57,20 @@ class TestRunConfig:
             RunConfig(tail_order=3)
         with pytest.raises(ValueError):
             RunConfig(output_format="xml")
+
+    def test_period_cfg_is_the_matching_period_sum_config(self):
+        # The CLI hands its fields to PeriodSumConfig unchanged: None chooses
+        # N (and K) from the tolerance, a number pins it.
+        pairs = (
+            (RunConfig(), PeriodSumConfig(tolerance=1e-8)),
+            (RunConfig(tail_order=1, tolerance=1e-6), PeriodSumConfig(tail_order=1, tolerance=1e-6)),
+            (RunConfig(n_periods=800), PeriodSumConfig(n_periods=800, tolerance=1e-8)),
+            (RunConfig(n_periods=50, tail_order=0), PeriodSumConfig(50, 0, 1e-8)),
+        )
+        for run_cfg, expected in pairs:
+            assert run_cfg.period_cfg() == expected
+        assert d_quad(-2.5 - 14.0j, pairs[2][1]).work == 800
+        assert d_quad(-2.5 - 14.0j, pairs[0][1]).work < 100
 
     def test_env_config_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -38,6 +38,7 @@ from dilogzeta.mellin import (
     _TAIL_Q,
     _ZETA,
     K_MAX,
+    N_MAX,
     _choose_tail,
     _period_grids,
     _tail,
@@ -285,7 +286,7 @@ class TestToleranceDrivenN:
         s = complex(u, v)
         tol = 10.0 ** log_tol
         cfg = PeriodSumConfig(tail_order=order, tolerance=tol)
-        cap = PeriodSumConfig().n_periods
+        cap = N_MAX
         cases = zip((d_quad, e_quad, f_quad), (-2.0 - s, -1.0 - s, -1.0 - s),
                     _mp_integrals(s), (_TAIL_P, _TAIL_Q, _TAIL_F))
         for fn, alpha, truth, data in cases:
@@ -365,7 +366,7 @@ class TestJointTailChoice:
         s = complex(u, v)
         tol = 10.0 ** log_tol
         cfg = PeriodSumConfig(tolerance=tol)
-        cap = cfg.n_periods
+        cap = N_MAX
         truths = _mp_integrals(s)
         for (fn, data, i), alpha in zip(_KERNELS, (-2.0 - s, -1.0 - s, -1.0 - s)):
             r = fn(alpha, cfg)
@@ -415,12 +416,24 @@ class TestJointTailChoice:
         for order in (0, 1, 2):
             cfg = PeriodSumConfig(tail_order=order, tolerance=1e-6)
             n, k = _choose_tail(alpha, cfg, _TAIL_P)
-            assert k == order and n < cfg.n_periods
+            assert k == order and n < N_MAX
             assert _tail_err(alpha, TWO_PI * n, order, _TAIL_P) <= 5e-7
             assert _tail_err(alpha, TWO_PI * (n - 1), order, _TAIL_P) > 5e-7
         assert _choose_tail(alpha, PeriodSumConfig(n_periods=700), _TAIL_P) == (700, 2)
         n, k = _choose_tail(alpha, PeriodSumConfig(tolerance=1e-6), _TAIL_P)
         assert k > 2 and n < 100
+
+    @pytest.mark.parametrize("n", [2, 7, 800])
+    def test_int_n_periods_pins_n_under_a_tolerance(self, n):
+        # An int n_periods is the N summed whatever the tolerance, and the
+        # tolerance then changes nothing; K is tail_order, or 2 if unset.
+        alphas = (-2.5 - 14.0j, -1.5 + 7.0j, -1.3 - 20.0j)
+        for (fn, _, _), alpha in zip(_KERNELS, alphas):
+            for order in (None, 1):
+                pinned = fn(alpha, PeriodSumConfig(n_periods=n, tail_order=order))
+                assert pinned.work == n
+                for tol in (1e-4, 1e-8, 1e-12):
+                    assert fn(alpha, PeriodSumConfig(n, order, tol)) == pinned
 
     def test_tail_order_validated(self):
         PeriodSumConfig(tail_order=K_MAX)

@@ -4,7 +4,6 @@ incomplete-gamma summation identity."""
 
 import cmath
 import math
-import os
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from dilogzeta import (
     mellin_numeric,
     muntz_lhs_rhs,
     poisson_check,
-    sampled,
     theta,
     theta_check,
     triangle,
@@ -67,23 +65,6 @@ class TestTestFunctions:
         for x in (0.0, 0.4, 1.2):
             assert back(x) == tri(x)
         assert back.half_integral == tri.half_integral
-
-    def test_sampled_roundtrip(self, tmp_path):
-        xs = np.linspace(0.0, 3.0, 3001)
-        fs = np.maximum(0.0, 1.0 - xs)
-        path = os.fspath(tmp_path / "tri.csv")
-        np.savetxt(path, np.column_stack([xs, fs]), delimiter=",")
-        f = sampled(path, 2.5, 1.0)
-        tri = triangle()
-        assert f(0.37) == pytest.approx(tri(0.37), abs=1e-9)
-        assert f.half_integral == pytest.approx(0.5, abs=1e-9)
-        assert f.fourier(0.8) == pytest.approx(tri.fourier(0.8), abs=1e-4)
-
-    def test_sampled_rejects_bad_grid(self, tmp_path):
-        path = os.fspath(tmp_path / "bad.csv")
-        np.savetxt(path, np.column_stack([[0.5, 1.0], [1.0, 0.0]]), delimiter=",")
-        with pytest.raises(DomainError):
-            sampled(path, 2.5, 1.0)
 
 
 class TestTheta:

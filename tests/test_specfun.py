@@ -1,14 +1,14 @@
 """Special-function layer: the zeta reference evaluator, endpoint-corrected
-partial sums, the incomplete gamma quadrature, and the combinatorial helpers,
-each checked against an independent formula or a quadrature oracle."""
+partial sums and the incomplete gamma quadrature, each checked against an
+independent formula or a quadrature oracle."""
 
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate as integrate
-import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,9 +16,7 @@ from dilogzeta import (
     DomainError,
     PoleError,
     a_n_approx,
-    binom_complex,
     inc_gamma,
-    pochhammer,
     zeta_partial,
     zeta_ref,
 )
@@ -148,42 +146,20 @@ class TestIncGamma:
         for z, v in zip(zs, many):
             assert abs(v - inc_gamma(lam, complex(z)).value) < 1e-12
 
+    def test_contract_on_the_library_domain(self):
+        # muntz.incomplete_mellin_phi evaluates Gamma(s - 2, +-2 pi i) for
+        # 0 < Re s < 1; there |value - truth| <= abs_err against a 30-digit
+        # oracle, and the scalar routine is one entry of the vectorised one.
+        rng = np.random.RandomState(7)
+        with mp.workdps(30):
+            for _ in range(410):
+                lam = complex(rng.uniform(0.0, 1.0), rng.uniform(-20.0, 20.0)) - 2.0
+                for z in (2j * math.pi, -2j * math.pi):
+                    r = inc_gamma(lam, z)
+                    assert r.value == inc_gamma_many(lam, np.array([z]))[0]
+                    truth = mp.gammainc(mp.mpc(lam), mp.mpc(z))
+                    assert float(abs(mp.mpc(r.value) - truth)) <= r.abs_err
+
     def test_vectorized_rejects_cut(self):
         with pytest.raises(DomainError):
             inc_gamma_many(0.5, np.array([1.0, -2.0 + 0.0j]))
-
-
-class TestCombinatorics:
-    def test_binom_base_cases(self):
-        alpha = -2.5 + 1.0j
-        assert binom_complex(alpha, 0) == 1.0
-        assert binom_complex(alpha, 1) == alpha
-        with pytest.raises(DomainError):
-            binom_complex(alpha, -1)
-
-    def test_binom_gamma_ratio_oracle(self):
-        alpha = -2.5 + 1.0j
-        for l in (2, 5, 11):
-            ratio = cmath.exp(
-                sp.loggamma(alpha + 1.0)
-                - sp.loggamma(l + 1.0)
-                - sp.loggamma(alpha - l + 1.0)
-            )
-            got = binom_complex(alpha, l)
-            assert abs(got - ratio) <= 1e-12 * max(1.0, abs(got))
-
-    def test_pochhammer_base_cases(self):
-        assert pochhammer(2.5 + 1.0j, 0) == 1.0
-        assert pochhammer(1.0, 5) == pytest.approx(math.factorial(5), abs=1e-12)
-
-    @given(
-        st.floats(min_value=-5.0, max_value=5.0),
-        st.floats(min_value=-5.0, max_value=5.0),
-        st.integers(min_value=0, max_value=20),
-    )
-    def test_pochhammer_binom_identity(self, ar, ai, l):
-        # (-alpha)_l = (-1)^l l! C(alpha, l)
-        alpha = complex(ar, ai)
-        lhs = pochhammer(-alpha, l)
-        rhs = (-1.0) ** l * math.factorial(l) * binom_complex(alpha, l)
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))

@@ -22,7 +22,7 @@ from dilogzeta import (
     zeta_via_e,
     zeta_via_f,
 )
-from dilogzeta.mellin import _TAIL_F, _TAIL_P, _TAIL_Q, _choose_tail, _tail
+from dilogzeta.mellin import _TAIL_F, _TAIL_P, _TAIL_Q, N_MAX, _choose_tail, _tail
 from dilogzeta.zeta_reps import _integral_cfg, alternating_series_identity
 
 CFG = PeriodSumConfig(n_periods=100_000, tail_order=2)
@@ -53,7 +53,7 @@ class TestRepresentationAgreement:
         s = complex(u, v)
         tol = 10.0 ** log_tol
         cfg = PeriodSumConfig(tolerance=tol)
-        cap = PeriodSumConfig().n_periods
+        cap = N_MAX
         with mp.workdps(30):
             truth = mp.zeta(mp.mpc(u, v))
         # zeta's abs_err is scale * (the integral's abs_err) + 1e-14
