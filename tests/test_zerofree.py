@@ -19,10 +19,57 @@ from dilogzeta import (
     zero_residual,
     zeta_ref,
 )
-from dilogzeta.zerofree import _bracket_terms, c_sign_parts, im_b, im_d_over_v
+from dilogzeta.core import EvalResult
+from dilogzeta.kernels import PI2_6, TWO_PI
+from dilogzeta.zerofree import _bracket_terms, c_sign_parts, im_b
 
 CFG = PeriodSumConfig(n_periods=100_000, tail_order=2)
 FIRST_ZERO_V = 14.134725141734695
+# Im of mpmath.zetazero(1..10)
+FIRST_TEN_ZEROS = (14.134725141734695, 21.022039638771556, 25.01085758014569, 30.424876125859512,
+                   32.93506158773919, 37.586178158825675, 40.9187190121475, 43.327073280915,
+                   48.00515088116716, 49.7738324776723)
+
+
+# An independent oracle for Im D / v: the real integrand summed with exact
+# oscillatory antiderivatives per period.
+
+
+def _osc_antider(beta: float, v: float, x: np.ndarray, use_sin: bool) -> np.ndarray:
+    """Antiderivative of x^beta sin(v ln x) (or cos) in closed form."""
+    b1 = beta + 1.0
+    den = b1 * b1 + v * v
+    lx = np.log(x)
+    s, c = np.sin(v * lx), np.cos(v * lx)
+    xb = np.power(x, b1)
+    if use_sin:
+        return xb * (b1 * s - v * c) / den
+    return xb * (b1 * c + v * s) / den
+
+
+def im_d_over_v(u: float, v: float, n_periods: int = 100_000) -> EvalResult:
+    """Im(D(-2-s)/v) as the real integral -int_1^oo x^{-2-u} sin(v ln x)/v p(x) dx,
+    summed with exact oscillatory antiderivatives per period; independent check
+    of the complex period-sum output."""
+    if u <= 0.0 or v == 0.0:
+        raise DomainError("im_d_over_v: need u > 0 and v != 0")
+    gamma = -2.0 - u
+    k = np.arange(0, n_periods, dtype=np.float64)
+    base = TWO_PI * k
+    lo = np.maximum(base, 1.0)
+    hi = base + TWO_PI
+    c0 = PI2_6 + math.pi ** 2 * k * (1.0 + k)
+    c1 = -(math.pi / 2.0 + math.pi * k)
+    total = 0.0
+    for coeff, beta in ((c0, gamma), (c1, gamma + 1.0), (0.25, gamma + 2.0)):
+        d = _osc_antider(beta, v, hi, True) - _osc_antider(beta, v, lo, True)
+        total += float(np.sum(coeff * d))
+    t = TWO_PI * n_periods
+    # One integration-by-parts pass: the boundary term vanishes (the mean-zero
+    # antiderivative of p is 0 at multiples of 2 pi), leaving a bounded-by-
+    # zeta(3) remainder against the derivative of x^{-2-u} sin(v ln x).
+    err = 1.2021 * ((2.0 + u) + abs(v)) * t ** (-2.0 - u) / (2.0 + u)
+    return EvalResult(value=complex(-total / v), abs_err=err / abs(v), work=n_periods)
 
 
 class TestZeroResidual:
@@ -39,6 +86,22 @@ class TestZeroResidual:
             zero_residual(0.0, 5.0)
         with pytest.raises(DomainError):
             zero_residual(0.5, 0.0)
+        with pytest.raises(DomainError):
+            zero_residual(0.5, np.array([3.0, 0.0]))
+
+    def test_an_array_of_v_equals_the_scalar_calls(self):
+        cfg = PeriodSumConfig(tolerance=1e-8)
+        for u in (0.5, 0.3):
+            for g in FIRST_TEN_ZEROS:
+                v = np.arange(g - 0.1, g + 0.1 + 0.005, 0.01)
+                res = zero_residual(u, v, cfg)
+                assert isinstance(zero_residual(u, float(v[0]), cfg), complex)
+                assert np.array_equal(res, [zero_residual(u, float(x), cfg) for x in v])
+        # Rows of different N are padded to the longest, which may reorder the
+        # rounding of a row's sum, not more.
+        v = np.linspace(1.0, 100.0, 30)
+        res = zero_residual(0.5, v, cfg)
+        assert max(abs(r - zero_residual(0.5, float(x), cfg)) for r, x in zip(res, v)) <= 1e-3 * 1e-8
 
 
 class TestScanLine:
@@ -59,6 +122,18 @@ class TestScanLine:
     def test_rejects_bad_window(self):
         with pytest.raises(DomainError):
             scan_line(0.5, 5.0, 4.0, 0.1)
+
+    def test_candidates_at_the_first_ten_zeros(self):
+        # The zero-scan setting: tolerance 1e-8, step 0.01, 0.2-wide windows,
+        # offset so that no grid point falls on the zero.
+        cfg = PeriodSumConfig(tolerance=1e-8)
+        for g in FIRST_TEN_ZEROS:
+            report = scan_line(0.5, g - 0.0963, g + 0.1037, 0.01, cfg=cfg)
+            assert len(report.rows) == 21
+            assert len(report.candidate_zeros) == 1
+            assert abs(report.candidate_zeros[0] - g) <= 0.01 / 100
+        for g in FIRST_TEN_ZEROS[:2]:
+            assert scan_line(0.3, g - 0.1, g + 0.1, 0.01, cfg=cfg).candidate_zeros == ()
 
 
 class TestImDOracle:
